@@ -30,51 +30,6 @@ namespace micg::api {
 
 namespace {
 
-/// Optional-field readers shared by every *_request_from_json. `v` is the
-/// params value (object or null); unknown fields are ignored for forward
-/// compatibility, wrong-typed fields raise check_error.
-void check_params_shape(const json& v) {
-  MICG_CHECK(v.is_object() || v.is_null(),
-             "request params must be a JSON object");
-}
-
-std::int64_t get_int(const json& v, std::string_view key, std::int64_t dflt) {
-  const json* f = v.find(key);
-  return f != nullptr ? f->as_int() : dflt;
-}
-
-double get_double(const json& v, std::string_view key, double dflt) {
-  const json* f = v.find(key);
-  return f != nullptr ? f->as_double() : dflt;
-}
-
-bool get_bool(const json& v, std::string_view key, bool dflt) {
-  const json* f = v.find(key);
-  return f != nullptr ? f->as_bool() : dflt;
-}
-
-std::string get_string(const json& v, std::string_view key,
-                       const std::string& dflt) {
-  const json* f = v.find(key);
-  return f != nullptr ? f->as_string() : dflt;
-}
-
-std::vector<std::int64_t> get_int_array(const json& v, std::string_view key) {
-  const json* f = v.find(key);
-  if (f == nullptr) return {};
-  std::vector<std::int64_t> out;
-  out.reserve(f->as_array().size());
-  for (const auto& e : f->as_array()) out.push_back(e.as_int());
-  return out;
-}
-
-json int_array_json(const std::vector<std::int64_t>& xs) {
-  json_array arr;
-  arr.reserve(xs.size());
-  for (auto x : xs) arr.emplace_back(x);
-  return json(std::move(arr));
-}
-
 /// Top-k selection by descending score, ties broken exactly like the
 /// historical CLI code (std::partial_sort over the index array with a
 /// score-only comparator) so the committed goldens are reproduced
@@ -129,16 +84,6 @@ class tuned_plan {
   tune::knob_plan local_;
 };
 
-json entries_json(const std::vector<bc_entry>& entries) {
-  json_array arr;
-  arr.reserve(entries.size());
-  for (const auto& e : entries) {
-    arr.emplace_back(json_object{{"vertex", json(e.vertex)},
-                                 {"score", json(e.score)}});
-  }
-  return json(std::move(arr));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -172,8 +117,6 @@ status status_from_name(const std::string& name) {
 // ---------------------------------------------------------------------------
 // exec_params
 
-rt::exec exec_params::to_exec() const { return resolve_exec(*this, {}); }
-
 rt::exec resolve_exec(const exec_params& p, const run_context& ctx) {
   MICG_CHECK(p.threads >= 1 && p.threads <= 4096,
              "threads must be in [1, 4096]");
@@ -191,38 +134,6 @@ rt::exec resolve_exec(const exec_params& p, const run_context& ctx) {
   e.pool = ctx.pool;
   e.rec = ctx.rec;
   return e;
-}
-
-json to_json(const exec_params& p) {
-  json out(json_object{{"backend", json(p.backend)},
-                       {"threads", json(p.threads)},
-                       {"chunk", json(p.chunk)},
-                       {"shards", json(p.shards)}});
-  // Only when set: keeps the serialization byte-identical for clients
-  // that predate the tuner.
-  if (!p.tune.empty()) out.set("tune", json(p.tune));
-  return out;
-}
-
-exec_params exec_params_from_json(const json& v, const exec_params& dflt) {
-  exec_params p = dflt;
-  p.backend = get_string(v, "backend", dflt.backend);
-  p.threads = static_cast<int>(get_int(v, "threads", dflt.threads));
-  p.chunk = get_int(v, "chunk", dflt.chunk);
-  p.shards = static_cast<int>(get_int(v, "shards", dflt.shards));
-  p.tune = get_string(v, "tune", dflt.tune);
-  return p;
-}
-
-exec_params exec_params_from_args(const arg_parser& args,
-                                  const exec_params& dflt) {
-  exec_params p = dflt;
-  p.backend = args.flag("backend", dflt.backend);
-  p.threads = static_cast<int>(args.flag_int("threads", dflt.threads));
-  p.chunk = args.flag_int("chunk", dflt.chunk);
-  p.shards = static_cast<int>(args.flag_int("shards", dflt.shards));
-  p.tune = args.flag("tune", dflt.tune);
-  return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -267,39 +178,6 @@ info_response run(const graph::any_csr& g, const info_request& req,
   return r;
 }
 
-json to_json(const info_response& r) {
-  json out(json_object{
-      {"layout", json(r.layout)},
-      {"num_vertices", json(r.num_vertices)},
-      {"num_edges", json(r.num_edges)},
-      {"min_degree", json(r.min_degree)},
-      {"max_degree", json(r.max_degree)},
-      {"avg_degree", json(r.avg_degree)},
-      {"components", json(r.components)},
-      {"degeneracy", json(r.degeneracy)},
-      {"bfs_levels_from_mid", json(r.bfs_levels_from_mid)},
-      {"shards", json(r.shards)},
-      {"shard_vertices", int_array_json(r.shard_vertices)},
-      {"shard_edges", int_array_json(r.shard_edges)},
-      {"cut_edges", json(r.cut_edges)},
-      {"cut_fraction", json(r.cut_fraction)}});
-  if (r.epoch >= 0) out.set("epoch", json(r.epoch));
-  return out;
-}
-
-info_request info_request_from_json(const json& v) {
-  check_params_shape(v);
-  info_request req;
-  req.shards = get_int(v, "shards", req.shards);
-  return req;
-}
-
-info_request info_request_from_args(const arg_parser& args) {
-  info_request req;
-  req.shards = args.flag_int("shards", req.shards);
-  return req;
-}
-
 // ---------------------------------------------------------------------------
 // bfs
 
@@ -319,6 +197,17 @@ bfs_response run(const graph::any_csr& g, const bfs_request& req,
   for (const auto t : req.targets) {
     MICG_CHECK(t >= 0 && t < n, "target vertex out of range");
   }
+  r.source = source;
+  r.num_vertices = n;
+  const auto record = [&](const auto& res, std::string variant) {
+    r.variant = std::move(variant);
+    r.num_levels = res.num_levels;
+    r.reached = static_cast<std::int64_t>(res.reached);
+    for (const auto t : req.targets) {
+      r.target_levels.push_back(res.level[static_cast<std::size_t>(t)]);
+    }
+    return r;
+  };
   const tuned_plan tp(g, req.ex, ctx, opt.ex.sink());
   const tune::knob_plan* plan = tp.get();
   if (plan != nullptr && opt.ex.shards > 1) {
@@ -342,20 +231,12 @@ bfs_response run(const graph::any_csr& g, const bfs_request& req,
       dopt.beta = plan->bfs_beta;
       dopt.bitmap = plan->bfs_bitmap;
       dopt.partition = plan->bfs_partition;
-      g.visit([&](const auto& cg) {
+      return g.visit([&](const auto& cg) {
         using VId = typename std::decay_t<decltype(cg)>::vertex_type;
-        const auto res = micg::bfs::direction_optimizing_bfs(
-            cg, static_cast<VId>(source), dopt);
-        r.num_levels = res.num_levels;
-        r.reached = static_cast<std::int64_t>(res.reached);
-        for (const auto t : req.targets) {
-          r.target_levels.push_back(res.level[static_cast<std::size_t>(t)]);
-        }
+        return record(micg::bfs::direction_optimizing_bfs(
+                          cg, static_cast<VId>(source), dopt),
+                      "Direction-optimizing");
       });
-      r.variant = "Direction-optimizing";
-      r.source = source;
-      r.num_vertices = n;
-      return r;
     }
   }
   if (opt.ex.shards > 1) {
@@ -365,88 +246,13 @@ bfs_response run(const graph::any_csr& g, const bfs_request& req,
     const auto sg = graph::make_sharded(g, opt.ex.shards);
     micg::bfs::sharded_bfs_options sopt;
     sopt.ex = opt.ex;
-    const auto res = micg::bfs::sharded_bfs(sg, source, sopt);
-    r.num_levels = res.num_levels;
-    r.reached = static_cast<std::int64_t>(res.reached);
-    for (const auto t : req.targets) {
-      r.target_levels.push_back(res.level[static_cast<std::size_t>(t)]);
-    }
-    r.variant = "BSP-sharded";
-    r.source = source;
-    r.num_vertices = n;
-    return r;
+    return record(micg::bfs::sharded_bfs(sg, source, sopt), "BSP-sharded");
   }
-  g.visit([&](const auto& cg) {
+  return g.visit([&](const auto& cg) {
     using VId = typename std::decay_t<decltype(cg)>::vertex_type;
-    const auto res =
-        micg::bfs::parallel_bfs(cg, static_cast<VId>(source), opt);
-    r.num_levels = res.num_levels;
-    r.reached = static_cast<std::int64_t>(res.reached);
-    for (const auto t : req.targets) {
-      r.target_levels.push_back(res.level[static_cast<std::size_t>(t)]);
-    }
+    return record(micg::bfs::parallel_bfs(cg, static_cast<VId>(source), opt),
+                  micg::bfs::bfs_variant_name(opt.variant));
   });
-  r.variant = micg::bfs::bfs_variant_name(opt.variant);
-  r.source = source;
-  r.num_vertices = n;
-  return r;
-}
-
-json to_json(const bfs_response& r) {
-  json out(json_object{{"variant", json(r.variant)},
-                       {"source", json(r.source)},
-                       {"num_levels", json(r.num_levels)},
-                       {"reached", json(r.reached)},
-                       {"num_vertices", json(r.num_vertices)}});
-  if (!r.target_levels.empty()) {
-    out.set("target_levels", int_array_json(r.target_levels));
-  }
-  return out;
-}
-
-bfs_request bfs_request_from_json(const json& v) {
-  check_params_shape(v);
-  bfs_request req;
-  req.ex = exec_params_from_json(v, req.ex);
-  req.variant = get_string(v, "variant", req.variant);
-  req.source = get_int(v, "source", req.source);
-  req.block = get_int(v, "block", req.block);
-  req.targets = get_int_array(v, "targets");
-  return req;
-}
-
-bfs_request bfs_request_from_args(const arg_parser& args) {
-  bfs_request req;
-  req.ex = exec_params_from_args(args, req.ex);
-  req.variant = args.flag("variant", req.variant);
-  req.source = args.flag_int("source", req.source);
-  req.block = args.flag_int("block", req.block);
-  return req;
-}
-
-// ---------------------------------------------------------------------------
-// approx_dist
-
-json to_json(const dist_response& r) {
-  json out(json_object{{"source", json(r.source)},
-                       {"target", json(r.target)},
-                       {"distance", json(r.distance)},
-                       {"approximate", json(r.approximate)},
-                       {"landmarks", json(r.landmarks)}});
-  if (r.approximate) {
-    out.set("lower", json(r.lower));
-    out.set("upper", json(r.upper));
-  }
-  return out;
-}
-
-dist_request dist_request_from_json(const json& v) {
-  check_params_shape(v);
-  dist_request req;
-  req.source = get_int(v, "source", req.source);
-  req.target = get_int(v, "target", req.target);
-  req.exact = get_bool(v, "exact", req.exact);
-  return req;
 }
 
 // ---------------------------------------------------------------------------
@@ -509,33 +315,6 @@ msbfs_response run(const graph::any_csr& g, const msbfs_request& req,
   return r;
 }
 
-json to_json(const msbfs_response& r) {
-  return json(json_object{{"sources", json(r.sources)},
-                          {"batches", json(r.batches)},
-                          {"lanes", json(r.lanes)},
-                          {"reached_total", json(r.reached_total)},
-                          {"levels_total", json(r.levels_total)},
-                          {"num_vertices", json(r.num_vertices)}});
-}
-
-msbfs_request msbfs_request_from_json(const json& v) {
-  check_params_shape(v);
-  msbfs_request req;
-  req.ex = exec_params_from_json(v, req.ex);
-  req.sources = get_int(v, "sources", req.sources);
-  req.lanes = get_int(v, "lanes", req.lanes);
-  req.source_list = get_int_array(v, "source_list");
-  return req;
-}
-
-msbfs_request msbfs_request_from_args(const arg_parser& args) {
-  msbfs_request req;
-  req.ex = exec_params_from_args(args, req.ex);
-  req.sources = args.flag_int("sources", req.sources);
-  req.lanes = args.flag_int("lanes", req.lanes);
-  return req;
-}
-
 // ---------------------------------------------------------------------------
 // bc
 
@@ -556,33 +335,6 @@ bc_response run(const graph::any_csr& g, const bc_request& req,
   r.top = top_entries(bc, req.top);
   r.num_vertices = g.num_vertices();
   return r;
-}
-
-json to_json(const bc_response& r) {
-  return json(json_object{{"top", entries_json(r.top)},
-                          {"num_vertices", json(r.num_vertices)}});
-}
-
-bc_request bc_request_from_json(const json& v) {
-  check_params_shape(v);
-  bc_request req;
-  req.ex = exec_params_from_json(v, req.ex);
-  req.samples = get_int(v, "samples", req.samples);
-  req.batched = get_string(v, "mode", req.batched ? "batched" : "repeated") !=
-                "repeated";
-  req.lanes = get_int(v, "lanes", req.lanes);
-  req.top = get_int(v, "top", req.top);
-  return req;
-}
-
-bc_request bc_request_from_args(const arg_parser& args) {
-  bc_request req;
-  req.ex = exec_params_from_args(args, req.ex);
-  req.samples = args.flag_int("samples", req.samples);
-  req.batched = args.flag("mode", "batched") != "repeated";
-  req.lanes = args.flag_int("lanes", req.lanes);
-  req.top = args.flag_int("top", req.top);
-  return req;
 }
 
 // ---------------------------------------------------------------------------
@@ -608,29 +360,6 @@ color_response run(const graph::any_csr& g, const color_request& req,
   });
   r.distance2 = req.distance2;
   return r;
-}
-
-json to_json(const color_response& r) {
-  return json(json_object{{"num_colors", json(r.num_colors)},
-                          {"rounds", json(r.rounds)},
-                          {"valid", json(r.valid)},
-                          {"distance2", json(r.distance2)}});
-}
-
-color_request color_request_from_json(const json& v) {
-  check_params_shape(v);
-  color_request req;
-  req.ex = exec_params_from_json(v, req.ex);
-  req.distance2 = get_bool(v, "distance2", req.distance2);
-  return req;
-}
-
-color_request color_request_from_args(const arg_parser& args) {
-  color_request req;
-  req.ex = exec_params_from_args(args, req.ex);
-  // Historical flag shape: `--d2 yes` (any value but "no" enables).
-  req.distance2 = args.flag("d2", "no") != "no";
-  return req;
 }
 
 // ---------------------------------------------------------------------------
@@ -666,51 +395,20 @@ pagerank_response run(const graph::any_csr& g, const pagerank_request& req,
     opt.mem = plan->mem;
     if (plan->chunk > 0) opt.ex.chunk = plan->chunk;
   }
-  if (opt.ex.shards > 1) {
-    const auto sg = graph::make_sharded(g, opt.ex.shards);
-    const auto res = micg::irregular::sharded_pagerank(sg, opt);
+  const auto record = [&](const auto& res) {
     r.iterations = res.iterations;
     r.converged = res.converged;
     r.final_delta = res.final_delta;
     r.top = top_entries(res.rank, req.top);
     return r;
+  };
+  if (opt.ex.shards > 1) {
+    const auto sg = graph::make_sharded(g, opt.ex.shards);
+    return record(micg::irregular::sharded_pagerank(sg, opt));
   }
-  g.visit([&](const auto& cg) {
-    const auto res = micg::irregular::pagerank(cg, opt);
-    r.iterations = res.iterations;
-    r.converged = res.converged;
-    r.final_delta = res.final_delta;
-    r.top = top_entries(res.rank, req.top);
+  return g.visit([&](const auto& cg) {
+    return record(micg::irregular::pagerank(cg, opt));
   });
-  return r;
-}
-
-json to_json(const pagerank_response& r) {
-  return json(json_object{{"iterations", json(r.iterations)},
-                          {"converged", json(r.converged)},
-                          {"final_delta", json(r.final_delta)},
-                          {"top", entries_json(r.top)}});
-}
-
-pagerank_request pagerank_request_from_json(const json& v) {
-  check_params_shape(v);
-  pagerank_request req;
-  req.ex = exec_params_from_json(v, req.ex);
-  req.damping = get_double(v, "damping", req.damping);
-  req.tolerance = get_double(v, "tolerance", req.tolerance);
-  req.max_iterations = get_int(v, "max_iterations", req.max_iterations);
-  req.top = get_int(v, "top", req.top);
-  return req;
-}
-
-pagerank_request pagerank_request_from_args(const arg_parser& args) {
-  pagerank_request req;
-  req.ex = exec_params_from_args(args, req.ex);
-  req.damping = args.flag_double("damping", req.damping);
-  req.tolerance = args.flag_double("tolerance", req.tolerance);
-  req.max_iterations = args.flag_int("iterations", req.max_iterations);
-  req.top = args.flag_int("top", req.top);
-  return req;
 }
 
 // ---------------------------------------------------------------------------
@@ -771,41 +469,6 @@ sssp_response run(const graph::any_csr& g, const sssp_request& req,
   return r;
 }
 
-json to_json(const sssp_response& r) {
-  json out(json_object{{"source", json(r.source)},
-                       {"delta", json(r.delta)},
-                       {"num_vertices", json(r.num_vertices)},
-                       {"reached", json(r.reached)},
-                       {"relaxations", json(r.relaxations)},
-                       {"buckets", json(r.buckets)}});
-  if (!r.target_dists.empty()) {
-    out.set("target_dists", int_array_json(r.target_dists));
-  }
-  return out;
-}
-
-sssp_request sssp_request_from_json(const json& v) {
-  check_params_shape(v);
-  sssp_request req;
-  req.ex = exec_params_from_json(v, req.ex);
-  req.source = get_int(v, "source", req.source);
-  req.delta = get_int(v, "delta", req.delta);
-  req.weights_seed = get_int(v, "weights", req.weights_seed);
-  req.max_weight = get_int(v, "max_weight", req.max_weight);
-  req.targets = get_int_array(v, "targets");
-  return req;
-}
-
-sssp_request sssp_request_from_args(const arg_parser& args) {
-  sssp_request req;
-  req.ex = exec_params_from_args(args, req.ex);
-  req.source = args.flag_int("source", req.source);
-  req.delta = args.flag_int("delta", req.delta);
-  req.weights_seed = args.flag_int("weights", req.weights_seed);
-  req.max_weight = args.flag_int("max-weight", req.max_weight);
-  return req;
-}
-
 // ---------------------------------------------------------------------------
 // cc
 
@@ -830,54 +493,43 @@ cc_response run(const graph::any_csr& g, const cc_request& req,
   return r;
 }
 
-json to_json(const cc_response& r) {
-  return json(json_object{{"num_components", json(r.num_components)},
-                          {"largest", json(r.largest)},
-                          {"rounds", json(r.rounds)},
-                          {"num_vertices", json(r.num_vertices)}});
-}
-
-cc_request cc_request_from_json(const json& v) {
-  check_params_shape(v);
-  cc_request req;
-  req.ex = exec_params_from_json(v, req.ex);
-  return req;
-}
-
-cc_request cc_request_from_args(const arg_parser& args) {
-  cc_request req;
-  req.ex = exec_params_from_args(args, req.ex);
-  return req;
-}
-
 // ---------------------------------------------------------------------------
 // dispatch
 
+namespace {
+
+template <class Req>
+json run_query(const graph::any_csr& g, const json& params,
+               const run_context& ctx) {
+  return to_json(run(g, from_json<Req>(params), ctx));
+}
+
+template <class Req>
+constexpr query_op make_op(const char* name) {
+  return {name, run_query<Req>, field_names<Req>};
+}
+
+constexpr query_op ops[] = {
+    make_op<info_request>("info"),   make_op<bfs_request>("bfs"),
+    make_op<msbfs_request>("msbfs"), make_op<bc_request>("bc"),
+    make_op<color_request>("color"), make_op<pagerank_request>("pagerank"),
+    make_op<sssp_request>("sssp"),   make_op<cc_request>("cc"),
+};
+
+}  // namespace
+
+std::span<const query_op> query_ops() { return ops; }
+
 bool is_query_op(const std::string& op) {
-  return op == "info" || op == "bfs" || op == "msbfs" || op == "bc" ||
-         op == "color" || op == "pagerank" || op == "sssp" || op == "cc";
+  return std::ranges::any_of(ops,
+                             [&](const query_op& q) { return op == q.name; });
 }
 
 json dispatch_query(const graph::any_csr& g, const std::string& op,
                     const json& params, const run_context& ctx) {
-  if (op == "info") {
-    return to_json(run(g, info_request_from_json(params), ctx));
+  for (const query_op& q : ops) {
+    if (op == q.name) return q.run(g, params, ctx);
   }
-  if (op == "bfs") return to_json(run(g, bfs_request_from_json(params), ctx));
-  if (op == "msbfs") {
-    return to_json(run(g, msbfs_request_from_json(params), ctx));
-  }
-  if (op == "bc") return to_json(run(g, bc_request_from_json(params), ctx));
-  if (op == "color") {
-    return to_json(run(g, color_request_from_json(params), ctx));
-  }
-  if (op == "pagerank") {
-    return to_json(run(g, pagerank_request_from_json(params), ctx));
-  }
-  if (op == "sssp") {
-    return to_json(run(g, sssp_request_from_json(params), ctx));
-  }
-  if (op == "cc") return to_json(run(g, cc_request_from_json(params), ctx));
   MICG_CHECK(false, "unknown query op: " + op);
   return json();  // unreachable
 }

@@ -4,11 +4,15 @@
 // execution configuration) paired with a plain response struct. Three
 // front ends drive the same structs through the same run() overloads:
 //
-//   * tools/micg_cli.cpp parses flags into a request (the *_request_from_args
-//     helpers below) and formats the response for stdout;
+//   * tools/micg_cli.cpp parses flags into a request (from_args<T>) and
+//     formats the response for stdout;
 //   * micg::serve deserializes the identical request from a wire JSON
-//     object (*_request_from_json) and serializes the response back;
+//     object (from_json<T>) and serializes the response back (to_json);
 //   * library users fill the struct directly.
+//
+// Each struct has one field list (its static `fields()`, see
+// micg/api/fields.hpp) naming every member's wire field and CLI flag; the
+// three codecs are generic over it, so adding a field takes one entry.
 //
 // One code path: a CLI `micg bfs` and a served {"op":"bfs"} execute the
 // same run(graph, bfs_request) — the CLI goldens pin that the refactor
@@ -19,10 +23,14 @@
 // below, and every wire response carries {"status": <name>, ...}.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "micg/api/fields.hpp"
 #include "micg/api/json.hpp"
 #include "micg/api/parse.hpp"
 #include "micg/graph/any_csr.hpp"
@@ -56,6 +64,31 @@ const char* status_name(status s);
 status status_from_name(const std::string& name);
 
 // ---------------------------------------------------------------------------
+// Field lists
+
+struct exec_params;
+struct bc_entry;
+
+/// Field-list entry of the api structs (micg/api/fields.hpp).
+template <class T>
+using field = basic_field<T, bool, int, std::int64_t, double, std::string,
+                          std::vector<std::int64_t>, std::vector<bc_entry>,
+                          exec_params>;
+
+/// A ranked vertex (bc and pagerank report their top entries).
+struct bc_entry {
+  std::int64_t vertex = 0;
+  double score = 0.0;
+  bool operator==(const bc_entry&) const = default;
+
+  static constexpr auto fields() {
+    using T = bc_entry;
+    return std::to_array<field<T>>(
+        {{"vertex", &T::vertex}, {"score", &T::score}});
+  }
+};
+
+// ---------------------------------------------------------------------------
 // Execution parameters
 
 /// The rt::exec subset that crosses API boundaries (backend by wire name;
@@ -66,19 +99,24 @@ struct exec_params {
   std::int64_t chunk = 64;
   /// Shards for the bulk-synchronous drivers (graph/shard.hpp): 1 runs
   /// the plain kernels; N > 1 partitions the graph and runs the sharded
-  /// BFS/pagerank drivers with `threads` workers per shard. Wire field
-  /// "shards", CLI flag --shards.
+  /// BFS/pagerank drivers with `threads` workers per shard.
   int shards = 1;
   /// Auto-tuning mode: "fixed", "auto", "calibrate", or "" (defer to
   /// $MICG_TUNE, then "fixed"). Under auto/calibrate the knob picker
   /// (micg::tune) may override memory fast-path knobs, the BFS frontier
   /// representation and the chunk size — never the answer, which is
-  /// bit-identical across modes by construction. Wire field "tune", CLI
-  /// flag --tune.
+  /// bit-identical across modes by construction.
   std::string tune;
 
-  /// Resolve to an rt::exec (validates the backend name and ranges).
-  [[nodiscard]] rt::exec to_exec() const;
+  /// `tune` is left off the wire while unset, which keeps the
+  /// serialization of clients that predate the tuner.
+  static constexpr auto fields() {
+    using T = exec_params;
+    return std::to_array<field<T>>(
+        {{"backend", &T::backend}, {"threads", &T::threads},
+         {"chunk", &T::chunk}, {"shards", &T::shards},
+         {.wire = "tune", .member = &T::tune, .omit_unset = true}});
+  }
 };
 
 /// Process-local execution bindings a front end applies on top of a
@@ -100,16 +138,9 @@ struct run_context {
   const tune::knob_plan* plan = nullptr;
 };
 
-/// exec_params + run_context -> the rt::exec the kernels receive.
+/// exec_params + run_context -> the rt::exec the kernels receive
+/// (validates the backend name and ranges).
 rt::exec resolve_exec(const exec_params& p, const run_context& ctx);
-
-json to_json(const exec_params& p);
-/// Reads the optional "backend"/"threads"/"chunk" fields of `v` (an
-/// object; unknown fields are ignored for forward compatibility).
-exec_params exec_params_from_json(const json& v, const exec_params& dflt);
-/// Reads --backend/--threads/--chunk flags.
-exec_params exec_params_from_args(const arg_parser& args,
-                                  const exec_params& dflt);
 
 // ---------------------------------------------------------------------------
 // info
@@ -118,6 +149,11 @@ struct info_request {
   /// Report the edge-balanced shard partition at this count (per-shard
   /// sizes, cut edges). 1 = the trivial single-shard view.
   std::int64_t shards = 1;
+
+  static constexpr auto fields() {
+    using T = info_request;
+    return std::to_array<field<T>>({{"shards", &T::shards}});
+  }
 };
 
 struct info_response {
@@ -140,13 +176,24 @@ struct info_response {
   /// Snapshot epoch of the graph answered from (run_context); -1 when the
   /// graph is not versioned (CLI, direct library use).
   std::int64_t epoch = -1;
+
+  static constexpr auto fields() {
+    using T = info_response;
+    return std::to_array<field<T>>(
+        {{"layout", &T::layout}, {"num_vertices", &T::num_vertices},
+         {"num_edges", &T::num_edges}, {"min_degree", &T::min_degree},
+         {"max_degree", &T::max_degree}, {"avg_degree", &T::avg_degree},
+         {"components", &T::components}, {"degeneracy", &T::degeneracy},
+         {"bfs_levels_from_mid", &T::bfs_levels_from_mid},
+         {"shards", &T::shards}, {"shard_vertices", &T::shard_vertices},
+         {"shard_edges", &T::shard_edges}, {"cut_edges", &T::cut_edges},
+         {"cut_fraction", &T::cut_fraction},
+         {.wire = "epoch", .member = &T::epoch, .omit_unset = true}});
+  }
 };
 
 info_response run(const graph::any_csr& g, const info_request& req,
                   const run_context& ctx = {});
-json to_json(const info_response& r);
-info_request info_request_from_json(const json& v);
-info_request info_request_from_args(const arg_parser& args);
 
 // ---------------------------------------------------------------------------
 // bfs
@@ -162,6 +209,13 @@ struct bfs_request {
   /// Vertices whose BFS level the response reports (distance queries);
   /// empty reports none. Out-of-range ids are a bad request.
   std::vector<std::int64_t> targets;
+
+  static constexpr auto fields() {
+    using T = bfs_request;
+    return std::to_array<field<T>>(
+        {{"ex", &T::ex}, {"variant", &T::variant}, {"source", &T::source},
+         {"block", &T::block}, {"targets", &T::targets, ""}});
+  }
 };
 
 struct bfs_response {
@@ -173,13 +227,21 @@ struct bfs_response {
   /// Level per requested target (-1 = unreachable), aligned with
   /// bfs_request::targets.
   std::vector<std::int64_t> target_levels;
+
+  static constexpr auto fields() {
+    using T = bfs_response;
+    return std::to_array<field<T>>(
+        {{"variant", &T::variant}, {"source", &T::source},
+         {"num_levels", &T::num_levels}, {"reached", &T::reached},
+         {"num_vertices", &T::num_vertices},
+         {.wire = "target_levels",
+          .member = &T::target_levels,
+          .omit_unset = true}});
+  }
 };
 
 bfs_response run(const graph::any_csr& g, const bfs_request& req,
                  const run_context& ctx = {});
-json to_json(const bfs_response& r);
-bfs_request bfs_request_from_json(const json& v);
-bfs_request bfs_request_from_args(const arg_parser& args);
 
 // ---------------------------------------------------------------------------
 // approx_dist
@@ -188,7 +250,7 @@ bfs_request bfs_request_from_args(const arg_parser& args);
 // (bfs/landmark.hpp) in O(k), with an exact-traversal fallback. There is
 // no run(graph, dist_request) overload: the answer depends on the
 // epoch-keyed cache the serve layer owns, so micg::serve::service
-// implements the op and only the (de)serialization lives here.
+// implements the op and only the field lists live here.
 
 struct dist_request {
   /// Negative selects the |V|/2 default, like bfs.
@@ -196,6 +258,13 @@ struct dist_request {
   std::int64_t target = 0;
   /// Force the exact traversal even when the landmark bounds would do.
   bool exact = false;
+
+  static constexpr auto fields() {
+    using T = dist_request;
+    return std::to_array<field<T>>(
+        {{"source", &T::source, ""}, {"target", &T::target, ""},
+         {"exact", &T::exact, ""}});
+  }
 };
 
 struct dist_response {
@@ -207,15 +276,23 @@ struct dist_response {
   /// True when answered from landmark bounds without a traversal; the
   /// exact distance then lies in [lower, upper] and distance == upper.
   bool approximate = false;
+  /// The landmark bounds; -1 (and left off the wire) unless approximate.
   std::int64_t lower = -1;
   std::int64_t upper = -1;
   /// Pivots consulted; 0 when the answer came from an exact traversal
   /// on a graph with no landmark index yet.
   std::int64_t landmarks = 0;
-};
 
-json to_json(const dist_response& r);
-dist_request dist_request_from_json(const json& v);
+  static constexpr auto fields() {
+    using T = dist_response;
+    return std::to_array<field<T>>(
+        {{"source", &T::source}, {"target", &T::target},
+         {"distance", &T::distance}, {"approximate", &T::approximate},
+         {"landmarks", &T::landmarks},
+         {.wire = "lower", .member = &T::lower, .omit_unset = true},
+         {.wire = "upper", .member = &T::upper, .omit_unset = true}});
+  }
+};
 
 // ---------------------------------------------------------------------------
 // msbfs
@@ -228,6 +305,13 @@ struct msbfs_request {
   /// Explicit sources (wire clients batching real queries); overrides
   /// `sources` when non-empty.
   std::vector<std::int64_t> source_list;
+
+  static constexpr auto fields() {
+    using T = msbfs_request;
+    return std::to_array<field<T>>(
+        {{"ex", &T::ex}, {"sources", &T::sources}, {"lanes", &T::lanes},
+         {"source_list", &T::source_list, ""}});
+  }
 };
 
 struct msbfs_response {
@@ -237,13 +321,19 @@ struct msbfs_response {
   std::int64_t reached_total = 0;
   std::int64_t levels_total = 0;
   std::int64_t num_vertices = 0;
+
+  static constexpr auto fields() {
+    using T = msbfs_response;
+    return std::to_array<field<T>>(
+        {{"sources", &T::sources}, {"batches", &T::batches},
+         {"lanes", &T::lanes}, {"reached_total", &T::reached_total},
+         {"levels_total", &T::levels_total},
+         {"num_vertices", &T::num_vertices}});
+  }
 };
 
 msbfs_response run(const graph::any_csr& g, const msbfs_request& req,
                    const run_context& ctx = {});
-json to_json(const msbfs_response& r);
-msbfs_request msbfs_request_from_json(const json& v);
-msbfs_request msbfs_request_from_args(const arg_parser& args);
 
 // ---------------------------------------------------------------------------
 // bc (betweenness centrality)
@@ -254,23 +344,31 @@ struct bc_request {
   bool batched = true;
   std::int64_t lanes = 64;
   std::int64_t top = 5;  ///< entries reported in the response
-};
 
-struct bc_entry {
-  std::int64_t vertex = 0;
-  double score = 0.0;
+  static constexpr auto fields() {
+    using T = bc_request;
+    return std::to_array<field<T>>(
+        {{"ex", &T::ex}, {"samples", &T::samples},
+         {.wire = "mode",
+          .member = &T::batched,
+          .words = {"repeated", "batched"}},
+         {"lanes", &T::lanes}, {"top", &T::top}});
+  }
 };
 
 struct bc_response {
   std::vector<bc_entry> top;
   std::int64_t num_vertices = 0;
+
+  static constexpr auto fields() {
+    using T = bc_response;
+    return std::to_array<field<T>>(
+        {{"top", &T::top}, {"num_vertices", &T::num_vertices}});
+  }
 };
 
 bc_response run(const graph::any_csr& g, const bc_request& req,
                 const run_context& ctx = {});
-json to_json(const bc_response& r);
-bc_request bc_request_from_json(const json& v);
-bc_request bc_request_from_args(const arg_parser& args);
 
 // ---------------------------------------------------------------------------
 // color
@@ -282,6 +380,13 @@ struct color_request {
                  .shards = 1,
                  .tune = {}};
   bool distance2 = false;
+
+  /// Historical flag shape: `--d2 yes` (any value but "no" enables).
+  static constexpr auto fields() {
+    using T = color_request;
+    return std::to_array<field<T>>(
+        {{"ex", &T::ex}, {"distance2", &T::distance2, "d2"}});
+  }
 };
 
 struct color_response {
@@ -289,13 +394,17 @@ struct color_response {
   std::int64_t rounds = 0;
   bool valid = false;
   bool distance2 = false;
+
+  static constexpr auto fields() {
+    using T = color_response;
+    return std::to_array<field<T>>(
+        {{"num_colors", &T::num_colors}, {"rounds", &T::rounds},
+         {"valid", &T::valid}, {"distance2", &T::distance2}});
+  }
 };
 
 color_response run(const graph::any_csr& g, const color_request& req,
                    const run_context& ctx = {});
-json to_json(const color_response& r);
-color_request color_request_from_json(const json& v);
-color_request color_request_from_args(const arg_parser& args);
 
 // ---------------------------------------------------------------------------
 // pagerank
@@ -306,6 +415,15 @@ struct pagerank_request {
   double tolerance = 1e-8;
   std::int64_t max_iterations = 200;
   std::int64_t top = 5;
+
+  static constexpr auto fields() {
+    using T = pagerank_request;
+    return std::to_array<field<T>>(
+        {{"ex", &T::ex}, {"damping", &T::damping},
+         {"tolerance", &T::tolerance},
+         {"max_iterations", &T::max_iterations, "iterations"},
+         {"top", &T::top}});
+  }
 };
 
 struct pagerank_response {
@@ -313,13 +431,17 @@ struct pagerank_response {
   bool converged = false;
   double final_delta = 0.0;
   std::vector<bc_entry> top;  ///< highest-ranked vertices
+
+  static constexpr auto fields() {
+    using T = pagerank_response;
+    return std::to_array<field<T>>(
+        {{"iterations", &T::iterations}, {"converged", &T::converged},
+         {"final_delta", &T::final_delta}, {"top", &T::top}});
+  }
 };
 
 pagerank_response run(const graph::any_csr& g, const pagerank_request& req,
                       const run_context& ctx = {});
-json to_json(const pagerank_response& r);
-pagerank_request pagerank_request_from_json(const json& v);
-pagerank_request pagerank_request_from_args(const arg_parser& args);
 
 // ---------------------------------------------------------------------------
 // sssp (weighted single-source shortest paths)
@@ -330,17 +452,25 @@ struct sssp_request {
   std::int64_t source = -1;
   /// Delta-stepping bucket width; 0 picks one from the graph's stats
   /// (tune::pick_sssp_delta). Every value >= 1 yields identical
-  /// distances — the knob only moves the speed. Wire field "delta".
+  /// distances — the knob only moves the speed.
   std::int64_t delta = 0;
   /// Weight-stream seed (graph/weighted.hpp): weights are derived from
   /// {seed, endpoint pair}, so equal seeds mean bit-identical weights in
-  /// every layout and snapshot epoch. Wire field "weights", CLI flag
-  /// --weights.
+  /// every layout and snapshot epoch.
   std::int64_t weights_seed = 1;
   /// Inclusive weight range upper bound (lower bound is pinned at 1).
   std::int64_t max_weight = 255;
   /// Vertices whose distance the response reports; empty reports none.
   std::vector<std::int64_t> targets;
+
+  static constexpr auto fields() {
+    using T = sssp_request;
+    return std::to_array<field<T>>(
+        {{"ex", &T::ex}, {"source", &T::source}, {"delta", &T::delta},
+         {"weights", &T::weights_seed},
+         {"max_weight", &T::max_weight, "max-weight"},
+         {"targets", &T::targets, ""}});
+  }
 };
 
 struct sssp_response {
@@ -353,19 +483,32 @@ struct sssp_response {
   /// Distance per requested target (-1 = unreachable), aligned with
   /// sssp_request::targets.
   std::vector<std::int64_t> target_dists;
+
+  static constexpr auto fields() {
+    using T = sssp_response;
+    return std::to_array<field<T>>(
+        {{"source", &T::source}, {"delta", &T::delta},
+         {"num_vertices", &T::num_vertices}, {"reached", &T::reached},
+         {"relaxations", &T::relaxations}, {"buckets", &T::buckets},
+         {.wire = "target_dists",
+          .member = &T::target_dists,
+          .omit_unset = true}});
+  }
 };
 
 sssp_response run(const graph::any_csr& g, const sssp_request& req,
                   const run_context& ctx = {});
-json to_json(const sssp_response& r);
-sssp_request sssp_request_from_json(const json& v);
-sssp_request sssp_request_from_args(const arg_parser& args);
 
 // ---------------------------------------------------------------------------
 // cc (connected components)
 
 struct cc_request {
   exec_params ex;
+
+  static constexpr auto fields() {
+    using T = cc_request;
+    return std::to_array<field<T>>({{"ex", &T::ex}});
+  }
 };
 
 struct cc_response {
@@ -373,18 +516,39 @@ struct cc_response {
   std::int64_t largest = 0;  ///< vertices in the largest component
   std::int64_t rounds = 0;   ///< hook+compress iterations until fixpoint
   std::int64_t num_vertices = 0;
+
+  static constexpr auto fields() {
+    using T = cc_response;
+    return std::to_array<field<T>>(
+        {{"num_components", &T::num_components}, {"largest", &T::largest},
+         {"rounds", &T::rounds}, {"num_vertices", &T::num_vertices}});
+  }
 };
 
 cc_response run(const graph::any_csr& g, const cc_request& req,
                 const run_context& ctx = {});
-json to_json(const cc_response& r);
-cc_request cc_request_from_json(const json& v);
-cc_request cc_request_from_args(const arg_parser& args);
+
+/// Kept for callers that predate from_json<T>.
+inline bfs_request bfs_request_from_json(const json& v) {
+  return from_json<bfs_request>(v);
+}
 
 // ---------------------------------------------------------------------------
 // Generic dispatch (the server's single entry point)
 
-/// Query operations dispatchable by name over a loaded graph.
+/// One query op dispatchable by name over a loaded graph.
+struct query_op {
+  const char* name;
+  /// to_json(run(g, from_json<request>(params), ctx)).
+  json (*run)(const graph::any_csr& g, const json& params,
+              const run_context& ctx);
+  /// field_names<request>.
+  std::vector<std::pair<std::string, std::string>> (*request_fields)();
+};
+
+/// Every query op; is_query_op and dispatch_query read this table.
+std::span<const query_op> query_ops();
+
 bool is_query_op(const std::string& op);
 
 /// Parse `params` as `op`'s request type, run it against `g`, and return

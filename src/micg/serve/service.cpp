@@ -29,6 +29,34 @@ std::vector<std::pair<std::int64_t, std::int64_t>> parse_edges(
   return out;
 }
 
+/// Wire status of an exception escaping a request: unknown names are
+/// not_found, invalid input bad_request, anything else internal.
+api::status status_of(const std::exception& e) {
+  if (dynamic_cast<const not_found_error*>(&e) != nullptr) {
+    return api::status::not_found;
+  }
+  if (dynamic_cast<const micg::check_error*>(&e) != nullptr) {
+    return api::status::bad_request;
+  }
+  return api::status::internal;
+}
+
+/// Counts a failed admission against `n` requests and returns the error
+/// message their responses carry.
+const char* admission_refusal(obs::recorder* rec, api::status st,
+                              std::uint64_t n) {
+  if (rec != nullptr && st == api::status::overloaded) {
+    rec->get_counter("serve.shed").add(0, n);
+  }
+  if (rec != nullptr && st == api::status::deadline_exceeded) {
+    rec->get_counter("serve.deadline_expired").add(0, n);
+  }
+  return st == api::status::overloaded ? "admission queue full, retry later"
+         : st == api::status::deadline_exceeded
+             ? "request waited past its deadline"
+             : "server is shutting down";
+}
+
 }  // namespace
 
 service::service(graph_store& store, service_options opt, obs::recorder* rec)
@@ -168,7 +196,7 @@ api::json service::execute(const request_envelope& req,
   }
 
   if (req.op == "approx_dist") {
-    const api::dist_request dreq = api::dist_request_from_json(req.params);
+    const auto dreq = api::from_json<api::dist_request>(req.params);
     const versioned_graph::pin pin = vg->snapshot();
     const std::int64_t n = pin.graph->num_vertices();
     MICG_CHECK(n > 0, "approx_dist on an empty graph");
@@ -371,21 +399,8 @@ void service::run_coalesced_batch(const std::string& graph,
   // batch's); a leader-side admission failure is every member's failure.
   const admit_result adm = admit(members.front().deadline_ms);
   if (adm.st != api::status::ok) {
-    if (rec_ != nullptr) {
-      if (adm.st == api::status::overloaded) {
-        rec_->get_counter("serve.shed")
-            .add(0, static_cast<std::uint64_t>(members.size()));
-      }
-      if (adm.st == api::status::deadline_exceeded) {
-        rec_->get_counter("serve.deadline_expired")
-            .add(0, static_cast<std::uint64_t>(members.size()));
-      }
-    }
-    const char* msg = adm.st == api::status::overloaded
-                          ? "admission queue full, retry later"
-                          : adm.st == api::status::deadline_exceeded
-                                ? "request waited past its deadline"
-                                : "server is shutting down";
+    const char* msg = admission_refusal(
+        rec_, adm.st, static_cast<std::uint64_t>(members.size()));
     for (auto& m : members) m.response = error_response(m.id, adm.st, msg);
     return;
   }
@@ -481,26 +496,11 @@ void service::run_coalesced_batch(const std::string& graph,
         members[i].response =
             ok_response(members[i].id, api::to_json(r), pin.epoch);
       }
-    } catch (const not_found_error& e) {
-      span.value("error", 1.0);
-      for (auto& m : members) {
-        if (m.response.empty()) {
-          m.response = error_response(m.id, api::status::not_found, e.what());
-        }
-      }
-    } catch (const micg::check_error& e) {
-      span.value("error", 1.0);
-      for (auto& m : members) {
-        if (m.response.empty()) {
-          m.response =
-              error_response(m.id, api::status::bad_request, e.what());
-        }
-      }
     } catch (const std::exception& e) {
       span.value("error", 1.0);
       for (auto& m : members) {
         if (m.response.empty()) {
-          m.response = error_response(m.id, api::status::internal, e.what());
+          m.response = error_response(m.id, status_of(e), e.what());
         }
       }
     }
@@ -559,31 +559,18 @@ std::string service::handle(const request_envelope& req) {
                             "op 'bfs' needs a graph name");
     }
     try {
-      api::bfs_request breq = api::bfs_request_from_json(req.params);
-      return coalescer_->submit(req.graph, std::move(breq), req.id,
-                                req.deadline_ms);
-    } catch (const micg::check_error& e) {
-      return error_response(req.id, api::status::bad_request, e.what());
+      return coalescer_->submit(
+          req.graph, api::from_json<api::bfs_request>(req.params), req.id,
+          req.deadline_ms);
     } catch (const std::exception& e) {
-      return error_response(req.id, api::status::internal, e.what());
+      return error_response(req.id, status_of(e), e.what());
     }
   }
 
   const admit_result adm = admit(req.deadline_ms);
-  if (rec_ != nullptr) {
-    rec_->get_counter("serve.requests").inc(0);
-    if (adm.st == api::status::overloaded) rec_->get_counter("serve.shed").inc(0);
-    if (adm.st == api::status::deadline_exceeded) {
-      rec_->get_counter("serve.deadline_expired").inc(0);
-    }
-  }
+  if (rec_ != nullptr) rec_->get_counter("serve.requests").inc(0);
   if (adm.st != api::status::ok) {
-    return error_response(req.id, adm.st,
-                          adm.st == api::status::overloaded
-                              ? "admission queue full, retry later"
-                              : adm.st == api::status::deadline_exceeded
-                                    ? "request waited past its deadline"
-                                    : "server is shutting down");
+    return error_response(req.id, adm.st, admission_refusal(rec_, adm.st, 1));
   }
 
   rt::thread_pool* pool =
@@ -615,15 +602,9 @@ std::string service::handle(const request_envelope& req) {
         span.value("epoch", static_cast<double>(epoch));
       }
       response = ok_response(req.id, std::move(result), epoch);
-    } catch (const not_found_error& e) {
-      span.value("error", 1.0);
-      response = error_response(req.id, api::status::not_found, e.what());
-    } catch (const micg::check_error& e) {
-      span.value("error", 1.0);
-      response = error_response(req.id, api::status::bad_request, e.what());
     } catch (const std::exception& e) {
       span.value("error", 1.0);
-      response = error_response(req.id, api::status::internal, e.what());
+      response = error_response(req.id, status_of(e), e.what());
     }
   }
   release(adm.slot);
@@ -634,10 +615,8 @@ std::string service::handle_line(const std::string& line) {
   request_envelope req;
   try {
     req = parse_request(line);
-  } catch (const micg::check_error& e) {
-    return error_response("", api::status::bad_request, e.what());
   } catch (const std::exception& e) {
-    return error_response("", api::status::internal, e.what());
+    return error_response("", status_of(e), e.what());
   }
   return handle(req);
 }

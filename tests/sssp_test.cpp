@@ -390,7 +390,7 @@ TEST(ApiSssp, WeightsSeedAndDeltaFlowThroughTheWire) {
   const auto params = micg::api::json::parse(
       R"({"source": 3, "delta": 5, "weights": 77, "max_weight": 9,)"
       R"( "targets": [80], "threads": 2})");
-  const auto req = micg::api::sssp_request_from_json(params);
+  const auto req = micg::api::from_json<micg::api::sssp_request>(params);
   EXPECT_EQ(req.source, 3);
   EXPECT_EQ(req.delta, 5);
   EXPECT_EQ(req.weights_seed, 77);

@@ -226,8 +226,8 @@ int cmd_convert(const arg_parser& args) {
 int cmd_info(const arg_parser& args) {
   if (args.positional.empty()) usage("info needs FILE");
   const auto ag = micg::api::load_graph(args.positional[0]);
-  const auto r =
-      micg::api::run(ag, micg::api::info_request_from_args(args));
+  const auto r = micg::api::run(
+      ag, micg::api::from_args<micg::api::info_request>(args));
   micg::table_printer t("graph info: " + args.positional[0]);
   t.header({"property", "value"});
   t.row({"layout", r.layout});
@@ -271,7 +271,7 @@ int cmd_info(const arg_parser& args) {
 int cmd_color(const arg_parser& args) {
   if (args.positional.empty()) usage("color needs FILE");
   const auto ag = micg::api::load_graph(args.positional[0]);
-  const auto req = micg::api::color_request_from_args(args);
+  const auto req = micg::api::from_args<micg::api::color_request>(args);
   micg::stopwatch sw;
   run_with_metrics(
       metrics_path(args), kernel_meta("micg color", args.positional[0], ag),
@@ -288,7 +288,7 @@ int cmd_color(const arg_parser& args) {
 int cmd_bfs(const arg_parser& args) {
   if (args.positional.empty()) usage("bfs needs FILE");
   const auto ag = micg::api::load_graph(args.positional[0]);
-  const auto req = micg::api::bfs_request_from_args(args);
+  const auto req = micg::api::from_args<micg::api::bfs_request>(args);
   micg::stopwatch sw;
   run_with_metrics(
       metrics_path(args), kernel_meta("micg bfs", args.positional[0], ag),
@@ -304,7 +304,7 @@ int cmd_bfs(const arg_parser& args) {
 int cmd_msbfs(const arg_parser& args) {
   if (args.positional.empty()) usage("msbfs needs FILE");
   const auto ag = micg::api::load_graph(args.positional[0]);
-  const auto req = micg::api::msbfs_request_from_args(args);
+  const auto req = micg::api::from_args<micg::api::msbfs_request>(args);
   micg::stopwatch sw;
   run_with_metrics(
       metrics_path(args), kernel_meta("micg msbfs", args.positional[0], ag),
@@ -329,7 +329,7 @@ int cmd_msbfs(const arg_parser& args) {
 int cmd_bc(const arg_parser& args) {
   if (args.positional.empty()) usage("bc needs FILE");
   const auto ag = micg::api::load_graph(args.positional[0]);
-  const auto req = micg::api::bc_request_from_args(args);
+  const auto req = micg::api::from_args<micg::api::bc_request>(args);
   micg::stopwatch sw;
   micg::api::bc_response r;
   run_with_metrics(
@@ -347,7 +347,7 @@ int cmd_bc(const arg_parser& args) {
 int cmd_pagerank(const arg_parser& args) {
   if (args.positional.empty()) usage("pagerank needs FILE");
   const auto ag = micg::api::load_graph(args.positional[0]);
-  const auto req = micg::api::pagerank_request_from_args(args);
+  const auto req = micg::api::from_args<micg::api::pagerank_request>(args);
   micg::stopwatch sw;
   micg::api::pagerank_response r;
   run_with_metrics(
@@ -368,7 +368,7 @@ int cmd_pagerank(const arg_parser& args) {
 int cmd_sssp(const arg_parser& args) {
   if (args.positional.empty()) usage("sssp needs FILE");
   const auto ag = micg::api::load_graph(args.positional[0]);
-  const auto req = micg::api::sssp_request_from_args(args);
+  const auto req = micg::api::from_args<micg::api::sssp_request>(args);
   micg::stopwatch sw;
   run_with_metrics(
       metrics_path(args), kernel_meta("micg sssp", args.positional[0], ag),
@@ -386,7 +386,7 @@ int cmd_sssp(const arg_parser& args) {
 int cmd_cc(const arg_parser& args) {
   if (args.positional.empty()) usage("cc needs FILE");
   const auto ag = micg::api::load_graph(args.positional[0]);
-  const auto req = micg::api::cc_request_from_args(args);
+  const auto req = micg::api::from_args<micg::api::cc_request>(args);
   micg::stopwatch sw;
   run_with_metrics(
       metrics_path(args), kernel_meta("micg cc", args.positional[0], ag),
