@@ -6,10 +6,11 @@
 #include <iostream>
 
 #include "micg/benchkit/benchkit.hpp"
+#include "micg/bfs/seq.hpp"
 #include "micg/color/greedy.hpp"
 #include "micg/color/iterative.hpp"
 #include "micg/color/verify.hpp"
-#include "micg/graph/props.hpp"
+#include "micg/graph/stats.hpp"
 #include "micg/graph/suite.hpp"
 #include "micg/support/table.hpp"
 #include "micg/support/timer.hpp"
@@ -28,10 +29,9 @@ int main(int argc, char** argv) {
 
   for (const auto& entry : micg::graph::table1_suite()) {
     const auto& g = micg::benchkit::suite_graph(entry.name, scale);
-    const auto stats = micg::graph::compute_degree_stats(g);
+    const auto stats = micg::graph::compute_graph_stats(g);
     const auto seq = micg::color::greedy_color(g);
-    const int levels =
-        micg::graph::count_bfs_levels(g, g.num_vertices() / 2);
+    const int levels = micg::bfs::seq_bfs(g, g.num_vertices() / 2).num_levels;
 
     micg::color::iterative_options opt;
     opt.ex.kind = micg::rt::backend::omp_dynamic;
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
            table_printer::human(entry.paper_edges),
            table_printer::human(g.num_edges()),
            table_printer::fmt(static_cast<long long>(entry.paper_max_degree)),
-           table_printer::fmt(static_cast<long long>(stats.max)),
+           table_printer::fmt(static_cast<long long>(stats.max_degree)),
            table_printer::fmt(static_cast<long long>(entry.paper_colors)),
            table_printer::fmt(static_cast<long long>(seq.num_colors)),
            table_printer::fmt(static_cast<long long>(entry.paper_levels)),

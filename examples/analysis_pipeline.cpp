@@ -13,8 +13,8 @@
 #include "micg/color/iterative.hpp"
 #include "micg/color/ordering.hpp"
 #include "micg/color/verify.hpp"
+#include "micg/graph/components.hpp"
 #include "micg/graph/generators.hpp"
-#include "micg/graph/props.hpp"
 #include "micg/rt/pipeline.hpp"
 #include "micg/rt/thread_pool.hpp"
 #include "micg/support/table.hpp"

@@ -10,6 +10,7 @@
 #include "micg/bfs/centrality.hpp"
 #include "micg/bfs/layered.hpp"
 #include "micg/bfs/msbfs.hpp"
+#include "micg/bfs/seq.hpp"
 #include "micg/bfs/sharded.hpp"
 #include "micg/bfs/sssp.hpp"
 #include "micg/graph/components.hpp"
@@ -19,7 +20,6 @@
 #include "micg/color/ordering.hpp"
 #include "micg/color/verify.hpp"
 #include "micg/bfs/direction.hpp"
-#include "micg/graph/props.hpp"
 #include "micg/graph/shard.hpp"
 #include "micg/graph/stats.hpp"
 #include "micg/irregular/pagerank.hpp"
@@ -145,9 +145,7 @@ info_response run(const graph::any_csr& g, const info_request& req,
              "shards must be in [1, 256]");
   info_response r;
   r.layout = graph::layout_name(g.layout());
-  // Degree columns via the memoizable one-sweep probe (graph/stats.hpp)
-  // — same arithmetic as the retired compute_degree_stats call, so the
-  // committed goldens are byte-identical.
+  // Degree columns via the memoizable one-sweep probe (graph/stats.hpp).
   const auto stats = graph::compute_graph_stats(g);
   g.visit([&](const auto& cg) {
     r.num_vertices = static_cast<std::int64_t>(cg.num_vertices());
@@ -158,8 +156,7 @@ info_response run(const graph::any_csr& g, const info_request& req,
     r.components =
         static_cast<std::int64_t>(graph::count_components(cg));
     r.degeneracy = static_cast<std::int64_t>(color::degeneracy(cg));
-    r.bfs_levels_from_mid = graph::count_bfs_levels(
-        cg, cg.num_vertices() / 2);
+    r.bfs_levels_from_mid = bfs::seq_bfs(cg, cg.num_vertices() / 2).num_levels;
   });
   r.shards = req.shards;
   r.epoch = ctx.snapshot_epoch;

@@ -21,6 +21,9 @@ std::int64_t json::as_int() const {
   if (type() == kind::integer) return std::get<std::int64_t>(v_);
   if (type() == kind::real) {
     const double d = std::get<double>(v_);
+    // Range first: casting a double outside int64 is undefined behaviour.
+    MICG_CHECK(d >= -0x1p63 && d < 0x1p63,
+               "json: integer outside the int64 range");
     const auto i = static_cast<std::int64_t>(d);
     MICG_CHECK(static_cast<double>(i) == d,
                "json: expected an integer, got a non-integral number");

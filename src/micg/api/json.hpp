@@ -1,11 +1,7 @@
-// Minimal JSON document type for the micg::api request/response surface
-// and the micg::serve wire protocol.
-//
-// The library already ships a JSON *emitter/parser pair* specialized to
-// the micg.metrics.v1 schema (obs/emit.hpp); requests are the opposite
-// shape of problem — arbitrary client input that must be validated field
-// by field — so the api layer carries a tiny generic value type instead
-// of widening the metrics parser. Scope is deliberately small:
+// Minimal JSON document type: the library's one JSON codec. It carries
+// the micg::api request/response surface, the micg::serve wire protocol,
+// tune's calibration profiles and the micg.metrics.v1 files that
+// obs/emit.hpp writes and reads. Scope is deliberately small:
 //
 //  * values: null, bool, integer (int64), double, string, array, object;
 //  * objects preserve insertion order, so dump() is deterministic and a

@@ -86,9 +86,36 @@ basic_components_result<typename G::vertex_type> parallel_components(
   return r;
 }
 
+template <CsrGraph G>
+typename G::vertex_type count_components(const G& g) {
+  using VId = typename G::vertex_type;
+  const VId n = g.num_vertices();
+  std::vector<bool> seen(static_cast<std::size_t>(n), false);
+  VId components = 0;
+  std::vector<VId> stack;
+  for (VId root = 0; root < n; ++root) {
+    if (seen[static_cast<std::size_t>(root)]) continue;
+    ++components;
+    seen[static_cast<std::size_t>(root)] = true;
+    stack.push_back(root);
+    while (!stack.empty()) {
+      const VId v = stack.back();
+      stack.pop_back();
+      for (VId w : g.neighbors(v)) {
+        if (!seen[static_cast<std::size_t>(w)]) {
+          seen[static_cast<std::size_t>(w)] = true;
+          stack.push_back(w);
+        }
+      }
+    }
+  }
+  return components;
+}
+
 #define MICG_INSTANTIATE(G)                                               \
   template basic_components_result<typename G::vertex_type>               \
-  parallel_components<G>(const G&, const rt::exec&);
+  parallel_components<G>(const G&, const rt::exec&);                      \
+  template typename G::vertex_type count_components<G>(const G&);
 MICG_FOR_EACH_CSR_LAYOUT(MICG_INSTANTIATE)
 #undef MICG_INSTANTIATE
 

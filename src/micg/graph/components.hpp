@@ -1,7 +1,7 @@
 // Parallel connected components via label propagation with pointer
 // jumping — the standard shared-memory formulation (Shiloach–Vishkin
 // style hooking + shortcutting). Runs on any rt::exec backend; the
-// sequential count_components() in props.hpp is its test oracle.
+// sequential count_components() below is its test oracle.
 #pragma once
 
 #include <vector>
@@ -26,5 +26,10 @@ using components_result = basic_components_result<vertex_t>;
 template <CsrGraph G>
 basic_components_result<typename G::vertex_type> parallel_components(
     const G& g, const rt::exec& ex);
+
+/// Number of connected components by sequential traversal — the oracle
+/// parallel_components() is checked against.
+template <CsrGraph G>
+typename G::vertex_type count_components(const G& g);
 
 }  // namespace micg::graph

@@ -1,287 +1,141 @@
 #include "micg/obs/emit.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
-#include <sstream>
+#include <limits>
 
+#include "micg/api/json.hpp"
 #include "micg/support/assert.hpp"
 
 namespace micg::obs {
 
 namespace {
 
+using api::json;
+using api::json_array;
+using api::json_object;
+
 // ---------------------------------------------------------------------------
 // Writing
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+json to_value(const std::string& s) { return s; }
+json to_value(double d) { return d; }  // non-finite dumps as null
+
+json to_value(std::uint64_t c) {
+  MICG_CHECK(c <= static_cast<std::uint64_t>(
+                      std::numeric_limits<std::int64_t>::max()),
+             "metrics JSON: counter exceeds the int64 range");
+  return static_cast<std::int64_t>(c);
 }
 
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+template <typename T>
+json object_of(const std::vector<std::pair<std::string, T>>& kv) {
+  json_object out;
+  out.reserve(kv.size());
+  for (const auto& [k, v] : kv) out.emplace_back(k, to_value(v));
+  return out;
 }
 
-template <typename T, typename AppendValue>
-void append_object(std::string& out,
-                   const std::vector<std::pair<std::string, T>>& kv,
-                   const AppendValue& append_value) {
-  out += '{';
-  bool first = true;
-  for (const auto& [k, v] : kv) {
-    if (!first) out += ',';
-    first = false;
-    append_escaped(out, k);
-    out += ':';
-    append_value(out, v);
-  }
-  out += '}';
-}
-
-void append_record(std::string& out, const snapshot& s) {
-  out += "{\"schema\":";
-  append_escaped(out, schema_name);
-  out += ",\"meta\":";
-  append_object(out, s.meta, [](std::string& o, const std::string& v) {
-    append_escaped(o, v);
-  });
-  out += ",\"counters\":";
-  append_object(out, s.counters, [](std::string& o, std::uint64_t v) {
-    o += std::to_string(v);
-  });
-  out += ",\"timers\":";
-  append_object(out, s.timers, append_double);
-  out += ",\"values\":";
-  append_object(out, s.values, append_double);
-  out += ",\"spans\":[";
-  bool first = true;
+json record_json(const snapshot& s) {
+  json_array spans;
+  spans.reserve(s.spans.size());
   for (const auto& sp : s.spans) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":";
-    append_escaped(out, sp.name);
-    out += ",\"index\":" + std::to_string(sp.index);
-    out += ",\"depth\":" + std::to_string(sp.depth);
-    out += ",\"seconds\":";
-    append_double(out, sp.seconds);
-    out += ",\"values\":";
-    append_object(out, sp.values, append_double);
-    out += '}';
+    spans.emplace_back(json_object{{"name", sp.name},
+                                   {"index", sp.index},
+                                   {"depth", sp.depth},
+                                   {"seconds", sp.seconds},
+                                   {"values", object_of(sp.values)}});
   }
-  out += "]}";
+  return json_object{{"schema", schema_name},
+                     {"meta", object_of(s.meta)},
+                     {"counters", object_of(s.counters)},
+                     {"timers", object_of(s.timers)},
+                     {"values", object_of(s.values)},
+                     {"spans", std::move(spans)}};
 }
 
 // ---------------------------------------------------------------------------
-// Parsing (exactly the emitter's subset: objects, arrays, strings,
-// numbers — enough for round-trip tests and metrics-file consumers).
+// Reading: walk the parsed tree, rejecting keys the writer never emits.
 
-class parser {
- public:
-  explicit parser(const std::string& text) : text_(text) {}
+std::string string_of(const json& v) { return v.as_string(); }
 
-  void expect(char c) {
-    skip_ws();
-    MICG_CHECK(pos_ < text_.size() && text_[pos_] == c,
-               std::string("metrics JSON: expected '") + c + "' at offset " +
-                   std::to_string(pos_));
-    ++pos_;
-  }
+double number_of(const json& v) {
+  return v.is_null() ? std::numeric_limits<double>::quiet_NaN()
+                     : v.as_double();
+}
 
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
+std::uint64_t counter_of(const json& v) {
+  const std::int64_t c = v.as_int();
+  MICG_CHECK(c >= 0, "metrics JSON: negative counter");
+  return static_cast<std::uint64_t>(c);
+}
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        MICG_CHECK(pos_ < text_.size(), "metrics JSON: dangling escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            MICG_CHECK(pos_ + 4 <= text_.size(),
-                       "metrics JSON: short \\u escape");
-            const unsigned code = static_cast<unsigned>(
-                std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            MICG_CHECK(code < 0x80,
-                       "metrics JSON: non-ASCII \\u escape unsupported");
-            out += static_cast<char>(code);
-            break;
-          }
-          default: out += esc;
-        }
-      } else {
-        out += c;
-      }
-    }
-    expect('"');
-    return out;
-  }
+template <typename T, typename FromValue>
+void read_object(const json& v, std::vector<std::pair<std::string, T>>& out,
+                 const FromValue& from_value) {
+  for (const auto& [k, e] : v.as_object()) out.emplace_back(k, from_value(e));
+}
 
-  double parse_number() {
-    skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    MICG_CHECK(end != begin, "metrics JSON: expected a number at offset " +
-                                 std::to_string(pos_));
-    pos_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
+void check_schema(const json& v) {
+  MICG_CHECK(v.as_string() == schema_name,
+             "metrics JSON: unknown schema: " + v.as_string());
+}
 
-  /// Parse {"k": v, ...} calling `on_pair(key)` positioned at each value.
-  template <typename OnPair>
-  void parse_object(const OnPair& on_pair) {
-    expect('{');
-    if (consume('}')) return;
-    do {
-      const std::string key = parse_string();
-      expect(':');
-      on_pair(key);
-    } while (consume(','));
-    expect('}');
-  }
-
-  template <typename OnItem>
-  void parse_array(const OnItem& on_item) {
-    expect('[');
-    if (consume(']')) return;
-    do {
-      on_item();
-    } while (consume(','));
-    expect(']');
-  }
-
-  void finish() {
-    skip_ws();
-    MICG_CHECK(pos_ == text_.size(),
-               "metrics JSON: trailing characters at offset " +
-                   std::to_string(pos_));
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-span_record parse_span(parser& p) {
+span_record read_span(const json& v) {
   span_record sp;
-  p.parse_object([&](const std::string& key) {
-    if (key == "name") {
-      sp.name = p.parse_string();
-    } else if (key == "index") {
-      sp.index = static_cast<std::int64_t>(p.parse_number());
-    } else if (key == "depth") {
-      sp.depth = static_cast<int>(p.parse_number());
-    } else if (key == "seconds") {
-      sp.seconds = p.parse_number();
-    } else if (key == "values") {
-      p.parse_object([&](const std::string& k) {
-        sp.values.emplace_back(k, p.parse_number());
-      });
+  for (const auto& [k, e] : v.as_object()) {
+    if (k == "name") {
+      sp.name = e.as_string();
+    } else if (k == "index") {
+      sp.index = e.as_int();
+    } else if (k == "depth") {
+      sp.depth = static_cast<int>(e.as_int());
+    } else if (k == "seconds") {
+      sp.seconds = number_of(e);
+    } else if (k == "values") {
+      read_object(e, sp.values, number_of);
     } else {
-      MICG_CHECK(false, "metrics JSON: unknown span key: " + key);
+      MICG_CHECK(false, "metrics JSON: unknown span key: " + k);
     }
-  });
+  }
   return sp;
 }
 
-snapshot parse_record(parser& p) {
+snapshot read_record(const json& v) {
   snapshot s;
-  p.parse_object([&](const std::string& key) {
-    if (key == "schema") {
-      const std::string schema = p.parse_string();
-      MICG_CHECK(schema == schema_name,
-                 "metrics JSON: unknown schema: " + schema);
-    } else if (key == "meta") {
-      p.parse_object([&](const std::string& k) {
-        s.meta.emplace_back(k, p.parse_string());
-      });
-    } else if (key == "counters") {
-      p.parse_object([&](const std::string& k) {
-        s.counters.emplace_back(
-            k, static_cast<std::uint64_t>(p.parse_number()));
-      });
-    } else if (key == "timers") {
-      p.parse_object([&](const std::string& k) {
-        s.timers.emplace_back(k, p.parse_number());
-      });
-    } else if (key == "values") {
-      p.parse_object([&](const std::string& k) {
-        s.values.emplace_back(k, p.parse_number());
-      });
-    } else if (key == "spans") {
-      p.parse_array([&] { s.spans.push_back(parse_span(p)); });
+  for (const auto& [k, e] : v.as_object()) {
+    if (k == "schema") {
+      check_schema(e);
+    } else if (k == "meta") {
+      read_object(e, s.meta, string_of);
+    } else if (k == "counters") {
+      read_object(e, s.counters, counter_of);
+    } else if (k == "timers") {
+      read_object(e, s.timers, number_of);
+    } else if (k == "values") {
+      read_object(e, s.values, number_of);
+    } else if (k == "spans") {
+      for (const auto& sp : e.as_array()) s.spans.push_back(read_span(sp));
     } else {
-      MICG_CHECK(false, "metrics JSON: unknown record key: " + key);
+      MICG_CHECK(false, "metrics JSON: unknown record key: " + k);
     }
-  });
+  }
   return s;
 }
 
 }  // namespace
 
-std::string to_json(const snapshot& s) {
-  std::string out;
-  append_record(out, s);
-  return out;
-}
+std::string to_json(const snapshot& s) { return record_json(s).dump(); }
 
 std::string to_json(const std::vector<snapshot>& records) {
-  std::string out = "{\"schema\":";
-  append_escaped(out, schema_name);
-  out += ",\"records\":[";
-  bool first = true;
-  for (const auto& r : records) {
-    if (!first) out += ',';
-    first = false;
-    append_record(out, r);
-  }
-  out += "]}\n";
-  return out;
+  json_array out;
+  out.reserve(records.size());
+  for (const auto& r : records) out.push_back(record_json(r));
+  return json(json_object{{"schema", schema_name},
+                          {"records", std::move(out)}})
+             .dump() +
+         "\n";
 }
-
-void write_json(std::ostream& os, const snapshot& s) { os << to_json(s); }
 
 void write_json_file(const std::string& path,
                      const std::vector<snapshot>& records) {
@@ -292,55 +146,23 @@ void write_json_file(const std::string& path,
   MICG_CHECK(os.good(), "failed writing metrics file: " + path);
 }
 
-snapshot from_json(const std::string& json) {
-  parser p(json);
-  snapshot s = parse_record(p);
-  p.finish();
-  return s;
+snapshot from_json(const std::string& text) {
+  return read_record(json::parse(text));
 }
 
-std::vector<snapshot> records_from_json(const std::string& json) {
-  parser p(json);
+std::vector<snapshot> records_from_json(const std::string& text) {
+  const json doc = json::parse(text);
   std::vector<snapshot> records;
-  p.parse_object([&](const std::string& key) {
-    if (key == "schema") {
-      const std::string schema = p.parse_string();
-      MICG_CHECK(schema == schema_name,
-                 "metrics JSON: unknown schema: " + schema);
-    } else if (key == "records") {
-      p.parse_array([&] { records.push_back(parse_record(p)); });
+  for (const auto& [k, v] : doc.as_object()) {
+    if (k == "schema") {
+      check_schema(v);
+    } else if (k == "records") {
+      for (const auto& r : v.as_array()) records.push_back(read_record(r));
     } else {
-      MICG_CHECK(false, "metrics JSON: unknown file key: " + key);
+      MICG_CHECK(false, "metrics JSON: unknown file key: " + k);
     }
-  });
-  p.finish();
+  }
   return records;
 }
-
-std::string to_csv(const snapshot& s) {
-  std::ostringstream os;
-  os << "section,name,value\n";
-  for (const auto& [k, v] : s.meta) os << "meta," << k << ',' << v << '\n';
-  for (const auto& [k, v] : s.counters) {
-    os << "counter," << k << ',' << v << '\n';
-  }
-  for (const auto& [k, v] : s.timers) os << "timer," << k << ',' << v << '\n';
-  for (const auto& [k, v] : s.values) os << "value," << k << ',' << v << '\n';
-  os << "span,name,index,depth,seconds,values\n";
-  for (const auto& sp : s.spans) {
-    os << "span," << sp.name << ',' << sp.index << ',' << sp.depth << ','
-       << sp.seconds << ',';
-    bool first = true;
-    for (const auto& [k, v] : sp.values) {
-      if (!first) os << ';';
-      first = false;
-      os << k << '=' << v;
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-void write_csv(std::ostream& os, const snapshot& s) { os << to_csv(s); }
 
 }  // namespace micg::obs

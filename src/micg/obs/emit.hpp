@@ -20,11 +20,17 @@
 //
 //   {"schema": "micg.metrics.v1", "records": [<record>, ...]}
 //
-// from_json() parses exactly the subset the emitters produce, enabling
-// round-trip tests and tools without a JSON library dependency.
+// Both directions go through micg::api::json, the library's one JSON
+// codec, so every file is strict JSON (Python's json.load reads it).
+// Two value rules follow from that codec:
+//
+//  * a non-finite timer, gauge or span value (inf, NaN) is written as
+//    `null`, and the reader maps `null` back to a quiet NaN;
+//  * counters are written as JSON integers, whose range is int64: the
+//    writer throws micg::check_error on a counter above INT64_MAX rather
+//    than wrap it, and the reader rejects negative or fractional counters.
 #pragma once
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -41,22 +47,16 @@ std::string to_json(const snapshot& s);
 /// A metrics file: {"schema": ..., "records": [...]}.
 std::string to_json(const std::vector<snapshot>& records);
 
-void write_json(std::ostream& os, const snapshot& s);
-
 /// Write a metrics file to `path`; throws micg::check_error on I/O error.
 void write_json_file(const std::string& path,
                      const std::vector<snapshot>& records);
 
 /// Parse a single record produced by to_json(const snapshot&). Throws
-/// micg::check_error on malformed input or schema mismatch.
+/// micg::check_error on malformed input, a non-object document, a schema
+/// mismatch or a key the writer never emits.
 snapshot from_json(const std::string& json);
 
 /// Parse a metrics file produced by to_json(const vector<snapshot>&).
 std::vector<snapshot> records_from_json(const std::string& json);
-
-/// CSV emitters: one "section,name,value" table for scalars and one
-/// "span,name,index,depth,seconds,key=value;..." row per span.
-std::string to_csv(const snapshot& s);
-void write_csv(std::ostream& os, const snapshot& s);
 
 }  // namespace micg::obs

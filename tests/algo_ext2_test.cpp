@@ -11,7 +11,6 @@
 #include "micg/graph/builder.hpp"
 #include "micg/graph/components.hpp"
 #include "micg/graph/generators.hpp"
-#include "micg/graph/props.hpp"
 #include "micg/graph/suite.hpp"
 #include "micg/irregular/gauss_seidel.hpp"
 #include "micg/support/assert.hpp"

@@ -7,12 +7,14 @@
 #include <utility>
 #include <vector>
 
+#include "micg/bfs/seq.hpp"
 #include "micg/graph/builder.hpp"
 #include "micg/graph/csr.hpp"
+#include "micg/graph/components.hpp"
 #include "micg/graph/generators.hpp"
 #include "micg/graph/io_mm.hpp"
 #include "micg/graph/permute.hpp"
-#include "micg/graph/props.hpp"
+#include "micg/graph/stats.hpp"
 #include "micg/graph/suite.hpp"
 #include "micg/support/assert.hpp"
 
@@ -107,36 +109,36 @@ TEST(Generators, ChainShape) {
   EXPECT_EQ(g.max_degree(), 2);
   EXPECT_EQ(g.degree(0), 1);
   EXPECT_EQ(g.degree(99), 1);
-  EXPECT_EQ(micg::graph::count_bfs_levels(g, 0), 100);
-  EXPECT_EQ(micg::graph::count_bfs_levels(g, 50), 51);
+  EXPECT_EQ(micg::bfs::seq_bfs(g, 0).num_levels, 100);
+  EXPECT_EQ(micg::bfs::seq_bfs(g, 50).num_levels, 51);
 }
 
 TEST(Generators, CycleShape) {
   auto g = micg::graph::make_cycle(10);
   EXPECT_EQ(g.num_edges(), 10);
   for (vertex_t v = 0; v < 10; ++v) EXPECT_EQ(g.degree(v), 2);
-  EXPECT_EQ(micg::graph::count_bfs_levels(g, 0), 6);
+  EXPECT_EQ(micg::bfs::seq_bfs(g, 0).num_levels, 6);
 }
 
 TEST(Generators, StarShape) {
   auto g = micg::graph::make_star(64);
   EXPECT_EQ(g.num_edges(), 63);
   EXPECT_EQ(g.max_degree(), 63);
-  EXPECT_EQ(micg::graph::count_bfs_levels(g, 0), 2);
-  EXPECT_EQ(micg::graph::count_bfs_levels(g, 5), 3);
+  EXPECT_EQ(micg::bfs::seq_bfs(g, 0).num_levels, 2);
+  EXPECT_EQ(micg::bfs::seq_bfs(g, 5).num_levels, 3);
 }
 
 TEST(Generators, CompleteShape) {
   auto g = micg::graph::make_complete(8);
   EXPECT_EQ(g.num_edges(), 28);
-  EXPECT_EQ(micg::graph::count_bfs_levels(g, 3), 2);
+  EXPECT_EQ(micg::bfs::seq_bfs(g, 3).num_levels, 2);
 }
 
 TEST(Generators, KaryTreeShape) {
   auto g = micg::graph::make_kary_tree(2, 5);  // 31 vertices
   EXPECT_EQ(g.num_vertices(), 31);
   EXPECT_EQ(g.num_edges(), 30);
-  EXPECT_EQ(micg::graph::count_bfs_levels(g, 0), 5);
+  EXPECT_EQ(micg::bfs::seq_bfs(g, 0).num_levels, 5);
   EXPECT_EQ(g.degree(0), 2);   // root
   EXPECT_EQ(g.degree(30), 1);  // leaf
 }
@@ -158,8 +160,9 @@ TEST(Generators, Grid2dDiagonals) {
 
 TEST(Generators, ErdosRenyiDegreeClose) {
   auto g = micg::graph::make_erdos_renyi(5000, 12.0, 42);
-  const auto stats = micg::graph::compute_degree_stats(g);
-  EXPECT_NEAR(stats.mean, 12.0, 1.0);  // dedupe/self-loop losses are small
+  const auto stats = micg::graph::compute_graph_stats(g);
+  // Dedupe and self-loop losses are small.
+  EXPECT_NEAR(stats.avg_degree, 12.0, 1.0);
   EXPECT_NO_THROW(g.validate());
 }
 
@@ -174,9 +177,9 @@ TEST(Generators, ErdosRenyiDeterministic) {
 TEST(Generators, RmatPowerLaw) {
   auto g = micg::graph::make_rmat(12, 8, 0.57, 0.19, 0.19, 1);
   EXPECT_EQ(g.num_vertices(), 4096);
-  const auto stats = micg::graph::compute_degree_stats(g);
+  const auto stats = micg::graph::compute_graph_stats(g);
   // Skew: max degree far above the mean is the RMAT signature.
-  EXPECT_GT(static_cast<double>(stats.max), 4.0 * stats.mean);
+  EXPECT_GT(static_cast<double>(stats.max_degree), 4.0 * stats.avg_degree);
   EXPECT_NO_THROW(g.validate());
 }
 
@@ -264,10 +267,10 @@ TEST(Permute, RejectsNonPermutation) {
 
 TEST(Props, DegreeStats) {
   auto g = micg::graph::make_star(11);
-  const auto s = micg::graph::compute_degree_stats(g);
-  EXPECT_EQ(s.min, 1);
-  EXPECT_EQ(s.max, 10);
-  EXPECT_NEAR(s.mean, 20.0 / 11.0, 1e-9);
+  const auto s = micg::graph::compute_graph_stats(g);
+  EXPECT_EQ(s.min_degree, 1);
+  EXPECT_EQ(s.max_degree, 10);
+  EXPECT_NEAR(s.avg_degree, 20.0 / 11.0, 1e-9);
 }
 
 TEST(Props, ComponentsCounted) {
@@ -331,9 +334,9 @@ TEST_P(SuiteGraph, ScaledStandInIsHealthy) {
   // stand-in matches stencil density; boundaries pull the mean down a bit).
   const double paper_avg = 2.0 * static_cast<double>(entry.paper_edges) /
                            static_cast<double>(entry.paper_vertices);
-  const auto stats = micg::graph::compute_degree_stats(g);
-  EXPECT_GT(stats.mean, 0.55 * paper_avg);
-  EXPECT_LT(stats.mean, 1.3 * paper_avg);
+  const auto stats = micg::graph::compute_graph_stats(g);
+  EXPECT_GT(stats.avg_degree, 0.55 * paper_avg);
+  EXPECT_LT(stats.avg_degree, 1.3 * paper_avg);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGraphs, SuiteGraph,
