@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "micg/rt/edge_partition.hpp"
@@ -25,12 +28,23 @@ using micg::rt::thread_pool;
 
 // ------------------------------------------------------------ omp schedules
 
+// gtest names each case from the raw bytes of its parameter, so the struct
+// has no implicit padding: the two filler fields are always zero, and the
+// case names no longer carry whatever the padding happened to hold.
 struct LoopCase {
+  LoopCase(omp_schedule s, std::int64_t c, int t, std::int64_t size)
+      : schedule(s), chunk(c), threads(t), n(size) {}
+
   omp_schedule schedule;
+  std::int32_t fill0 = 0;
   std::int64_t chunk;
   int threads;
+  std::int32_t fill1 = 0;
   std::int64_t n;
 };
+static_assert(sizeof(LoopCase) == 32 &&
+                  std::has_unique_object_representations_v<LoopCase>,
+              "LoopCase must have no padding bytes");
 
 class OmpLoop : public ::testing::TestWithParam<LoopCase> {};
 
@@ -94,15 +108,23 @@ TEST(OmpLoopEdge, StaticEvenBalancesWithinOne) {
 }
 
 TEST(OmpLoopEdge, GuidedChunksDecrease) {
+  // A region of 4 runs on 4 workers whatever the pool was built with, so
+  // chunks are recorded under a lock and put back in cursor order.
   thread_pool pool(1);
-  std::vector<std::int64_t> sizes;
+  std::mutex mu;
+  std::vector<std::pair<std::int64_t, std::int64_t>> chunks;  // (begin, size)
   micg::rt::omp_parallel_for(pool, 4, 10000,
                              {omp_schedule::guided, 8},
                              [&](std::int64_t b, std::int64_t e, int) {
-                               sizes.push_back(e - b);  // 1 thread: no race
+                               std::lock_guard<std::mutex> lock(mu);
+                               chunks.emplace_back(b, e - b);
                              });
+  std::sort(chunks.begin(), chunks.end());
+  std::vector<std::int64_t> sizes;
+  for (const auto& c : chunks) sizes.push_back(c.second);
   // First chunk should be about n/nthreads, later chunks shrink to >= 8.
   ASSERT_GE(sizes.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(sizes.rbegin(), sizes.rend()));
   EXPECT_GE(sizes.front(), 2000);
   EXPECT_GE(sizes.back(), 1);
   EXPECT_LT(sizes.back(), sizes.front());
