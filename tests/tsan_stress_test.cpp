@@ -197,6 +197,33 @@ TEST(TsanStress, BarrierGenerationsPublishPayload) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// Back-to-back regions of changing width. Helpers write plain cells and
+// the caller reads them after run() returns, and the caller rewrites the
+// payload before the next region, so both the fork (sequence-word bump)
+// and the join (countdown) must carry happens-before. Widths shrink and
+// grow so some helpers sit out regions and wake again later.
+TEST(TsanStress, PoolBackToBackRegionsPublishPayload) {
+  thread_pool pool(1);
+  std::vector<micg::padded<std::int64_t>> cell(kThreads);
+  std::int64_t input = 0;  // non-atomic; written by the caller between regions
+  const int widths[] = {kThreads, 2, kThreads - 1, 3, kThreads};
+  std::int64_t mismatches = 0;
+  for (int r = 0; r < kRounds * 50; ++r) {
+    const int n = widths[r % 5];
+    input = r;
+    pool.run(n, [&](int w) {
+      cell[static_cast<std::size_t>(w)].value = input * kThreads + w;
+    });
+    for (int w = 0; w < n; ++w) {
+      if (cell[static_cast<std::size_t>(w)].value !=
+          static_cast<std::int64_t>(r) * kThreads + w) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 // --- spinlock ---------------------------------------------------------------
 
 TEST(TsanStress, SpinlockProtectsPlainData) {
