@@ -70,6 +70,11 @@ class basic_csr {
                "xadj must end at the adjacency size");
     const VId n = num_vertices();
     for (VId v = 0; v < n; ++v) {
+      // Checked before degree(v) subtracts: a corrupt offset would
+      // otherwise overflow the signed edge index.
+      MICG_CHECK(xadj_[static_cast<std::size_t>(v)] <=
+                     xadj_[static_cast<std::size_t>(v) + 1],
+                 "xadj must be non-decreasing");
       max_degree_ = degree(v) > max_degree_ ? degree(v) : max_degree_;
     }
     // Full invariant validation is O(|E| log Delta); callers that construct

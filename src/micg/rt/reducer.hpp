@@ -1,4 +1,4 @@
-// Reduction hyperobjects.
+// Max reducer.
 //
 // reducer_max mirrors the Cilk Plus reducer_max the paper's coloring code
 // uses for maxcolor (§IV-A2): per-worker views with a write-mostly update

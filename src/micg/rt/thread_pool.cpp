@@ -135,8 +135,8 @@ void thread_pool::run(int nthreads, const std::function<void(int)>& fn) {
   }
 
   // Width-1 regions execute inline and are therefore legal anywhere —
-  // including nested inside another region (a pipeline filter running a
-  // serial coloring, a task calling a serial library routine, ...). The
+  // including nested inside another region (a task calling a serial
+  // library routine, ...). The
   // worker id is scoped so per-worker storage indexes slot 0 and is
   // restored afterwards.
   if (nthreads == 1) {

@@ -1,5 +1,5 @@
-// Tests for the second extension batch: parallel connected components,
-// Jones-Plassmann coloring, and the colored Gauss-Seidel smoother.
+// Tests for the second extension batch: parallel connected components and
+// Jones-Plassmann coloring.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,9 +12,6 @@
 #include "micg/graph/components.hpp"
 #include "micg/graph/generators.hpp"
 #include "micg/graph/suite.hpp"
-#include "micg/irregular/gauss_seidel.hpp"
-#include "micg/support/assert.hpp"
-#include "micg/support/rng.hpp"
 
 namespace {
 
@@ -139,68 +136,6 @@ TEST(JonesPlassmann, HandlesStructuredGraphs) {
     const auto r = micg::color::jones_plassmann_color(g, opt);
     EXPECT_TRUE(micg::color::is_valid_coloring(g, r.color));
   }
-}
-
-// ---------------------------------------------------------------- colored GS
-
-TEST(GaussSeidel, ParallelMatchesSequentialExactly) {
-  auto g = micg::graph::make_suite_graph(
-      micg::graph::suite_entry_by_name("msdoor"), 0.01);
-  micg::color::iterative_options copt;
-  copt.ex = exec4();
-  const auto coloring = micg::color::iterative_color(g, copt);
-
-  std::vector<double> state(static_cast<std::size_t>(g.num_vertices()));
-  micg::xoshiro256ss rng(3);
-  for (auto& x : state) x = rng.uniform();
-
-  micg::irregular::gauss_seidel_options opt;
-  opt.ex = exec4(backend::cilk_holder);
-  opt.sweeps = 3;
-  const auto par =
-      micg::irregular::colored_gauss_seidel(g, coloring.color, state, opt);
-  const auto seq = micg::irregular::gauss_seidel_seq(
-      g, coloring.color, state, opt.sweeps, opt.self_weight);
-  // Bit-exact: within a color class updates are independent, so thread
-  // interleaving cannot change any arithmetic.
-  EXPECT_EQ(par, seq);
-}
-
-TEST(GaussSeidel, SmoothsTowardsLocalAverage) {
-  auto g = micg::graph::make_grid_2d(20, 20);
-  const auto coloring = micg::color::greedy_color(g);
-  std::vector<double> state(400, 0.0);
-  state[210] = 400.0;
-  micg::irregular::gauss_seidel_options opt;
-  opt.ex = exec4();
-  opt.sweeps = 50;
-  const auto out =
-      micg::irregular::colored_gauss_seidel(g, coloring.color, state, opt);
-  // The spike must have spread: its height drops by >10x and neighbors
-  // rise above zero.
-  EXPECT_LT(out[210], 40.0);
-  EXPECT_GT(out[209], 0.0);
-}
-
-TEST(GaussSeidel, RejectsInvalidColoring) {
-  auto g = micg::graph::make_chain(4);
-  std::vector<int> bad{1, 1, 1, 1};
-  std::vector<double> state(4, 1.0);
-  micg::irregular::gauss_seidel_options opt;
-  EXPECT_THROW(
-      micg::irregular::colored_gauss_seidel(g, bad, state, opt),
-      micg::check_error);
-}
-
-TEST(GaussSeidel, ZeroSweepsIsIdentity) {
-  auto g = micg::graph::make_cycle(8);
-  const auto coloring = micg::color::greedy_color(g);
-  std::vector<double> state{1, 2, 3, 4, 5, 6, 7, 8};
-  micg::irregular::gauss_seidel_options opt;
-  opt.sweeps = 0;
-  const auto out =
-      micg::irregular::colored_gauss_seidel(g, coloring.color, state, opt);
-  EXPECT_EQ(out, state);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the extension algorithms: coloring orderings, betweenness
-// centrality, parent-array BFS with Graph500 validation, and binary I/O.
+// centrality, and binary I/O.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,11 +7,9 @@
 #include <sstream>
 
 #include "micg/bfs/centrality.hpp"
-#include "micg/bfs/parents.hpp"
 #include "micg/color/greedy.hpp"
 #include "micg/color/ordering.hpp"
 #include "micg/color/verify.hpp"
-#include "micg/graph/builder.hpp"
 #include "micg/graph/generators.hpp"
 #include "micg/graph/io_binary.hpp"
 #include "micg/graph/permute.hpp"
@@ -152,60 +150,6 @@ TEST(Centrality, SampledApproximatesExact) {
   const double me = std::accumulate(exact.begin(), exact.end(), 0.0);
   const double ma = std::accumulate(approx.begin(), approx.end(), 0.0);
   EXPECT_NEAR(ma / me, 1.0, 0.3);
-}
-
-// ------------------------------------------------------------- parent BFS
-
-TEST(ParentBfs, ValidTreeOnVariousGraphs) {
-  const struct {
-    csr_graph g;
-    vertex_t source;
-  } cases[] = {
-      {micg::graph::make_chain(100), 42},
-      {micg::graph::make_grid_2d(20, 20), 7},
-      {micg::graph::make_rmat(10, 8, 0.57, 0.19, 0.19, 3), 1},
-      {micg::graph::make_kary_tree(3, 6), 0},
-  };
-  for (const auto& c : cases) {
-    vertex_t src = c.source;
-    while (c.g.degree(src) == 0) ++src;
-    micg::bfs::parallel_bfs_options opt;
-    opt.ex.threads = 4;
-    opt.block = 16;
-    const auto r = micg::bfs::parallel_bfs_parents(c.g, src, opt);
-    EXPECT_TRUE(micg::bfs::validate_parent_tree(c.g, src, r.parent));
-    EXPECT_EQ(r.parent[static_cast<std::size_t>(src)], src);
-  }
-}
-
-TEST(ParentBfs, ValidatorRejectsCorruptTrees) {
-  auto g = micg::graph::make_grid_2d(10, 10);
-  micg::bfs::parallel_bfs_options opt;
-  opt.ex.threads = 2;
-  auto r = micg::bfs::parallel_bfs_parents(g, 0, opt);
-  ASSERT_TRUE(micg::bfs::validate_parent_tree(g, 0, r.parent));
-  auto bad = r.parent;
-  bad[50] = 99;  // non-adjacent parent
-  EXPECT_FALSE(micg::bfs::validate_parent_tree(g, 0, bad));
-  bad = r.parent;
-  bad[0] = 1;  // source must self-parent
-  EXPECT_FALSE(micg::bfs::validate_parent_tree(g, 0, bad));
-  bad = r.parent;
-  bad[99] = micg::graph::invalid_vertex;  // reached vertex marked unreached
-  EXPECT_FALSE(micg::bfs::validate_parent_tree(g, 0, bad));
-}
-
-TEST(ParentBfs, UnreachedStayUnparented) {
-  micg::graph::graph_builder b(5);
-  b.add_edge(0, 1);
-  b.add_edge(3, 4);
-  auto g = std::move(b).build();
-  micg::bfs::parallel_bfs_options opt;
-  opt.ex.threads = 2;
-  const auto r = micg::bfs::parallel_bfs_parents(g, 0, opt);
-  EXPECT_EQ(r.reached, 2u);
-  EXPECT_EQ(r.parent[3], micg::graph::invalid_vertex);
-  EXPECT_TRUE(micg::bfs::validate_parent_tree(g, 0, r.parent));
 }
 
 // ---------------------------------------------------------------- binary io

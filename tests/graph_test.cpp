@@ -3,6 +3,8 @@
 // suite stand-ins.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -50,6 +52,17 @@ TEST(Csr, RejectsBadXadj) {
   EXPECT_THROW(csr_graph({0, 2}, {1}), micg::check_error);
   // xadj not starting at zero.
   EXPECT_THROW(csr_graph({1, 2}, {0, 1}), micg::check_error);
+}
+
+TEST(Csr, RejectsDecreasingXadj) {
+  // The constructor's max-degree scan must reject a decreasing offset
+  // before subtracting: INT64_MIN + 2 would overflow degree().
+  using micg::graph::csr64;
+  const std::vector<std::int64_t> adj(4, 0);
+  EXPECT_THROW(csr64({0, 3, 1, 4}, adj), micg::check_error);
+  EXPECT_THROW(
+      csr64({0, std::numeric_limits<std::int64_t>::min() + 2, 4}, adj),
+      micg::check_error);
 }
 
 TEST(Csr, ValidateCatchesAsymmetry) {

@@ -1,4 +1,4 @@
-// Tests for the persistent thread pool, barrier, spinlock and worker ids.
+// Tests for the persistent thread pool, barrier and worker ids.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "micg/rt/barrier.hpp"
-#include "micg/rt/spinlock.hpp"
 #include "micg/rt/thread_pool.hpp"
 #include "micg/rt/worker.hpp"
 #include "micg/support/assert.hpp"
@@ -128,7 +127,7 @@ TEST(ThreadPool, OversubscriptionWorks) {
 
 TEST(ThreadPool, NestedWidthOneRegionIsLegal) {
   // A serial (width-1) region may run inside a parallel region — the
-  // pattern of a pipeline filter calling a serial library routine.
+  // pattern of a spawned task calling a serial library routine.
   thread_pool outer(4);
   thread_pool inner(1);
   std::atomic<int> nested_runs{0};
@@ -217,28 +216,6 @@ TEST(Barrier, SingleParticipantNeverBlocks) {
   micg::rt::sense_barrier barrier(1);
   for (int i = 0; i < 100; ++i) barrier.arrive_and_wait();
   SUCCEED();
-}
-
-TEST(Spinlock, MutualExclusion) {
-  thread_pool pool(8);
-  micg::rt::spinlock lock;
-  long counter = 0;  // protected by `lock`
-  pool.run(8, [&](int) {
-    for (int i = 0; i < 1000; ++i) {
-      std::lock_guard<micg::rt::spinlock> guard(lock);
-      ++counter;
-    }
-  });
-  EXPECT_EQ(counter, 8000);
-}
-
-TEST(Spinlock, TryLockReportsContention) {
-  micg::rt::spinlock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for parallel scan, the compacting frontier (the paper's rejected
-// alternative, §IV-C), array-notation operations, and a validation of the
-// scheduling model against the real schedulers.
+// alternative, §IV-C), and a validation of the scheduling model against
+// the real schedulers.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -12,7 +12,6 @@
 #include "micg/graph/suite.hpp"
 #include "micg/model/machine.hpp"
 #include "micg/model/sched_model.hpp"
-#include "micg/rt/array_ops.hpp"
 #include "micg/rt/loop.hpp"
 #include "micg/rt/scan.hpp"
 #include "micg/rt/thread_pool.hpp"
@@ -123,51 +122,6 @@ TEST(CompactBfs, MatchesSequentialLevels) {
     EXPECT_EQ(r.num_levels, ref.num_levels);
     EXPECT_EQ(r.reached, ref.reached);
   }
-}
-
-// ---------------------------------------------------------------- array ops
-
-TEST(ArrayOps, AxpbyMatchesScalarLoop) {
-  const std::size_t n = 10000;
-  std::vector<double> x(n), y(n), w(n);
-  micg::xoshiro256ss rng(2);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = rng.uniform();
-    y[i] = rng.uniform();
-  }
-  micg::rt::axpby(make_exec(backend::tbb_simple, 4, 512), 2.0, x, -3.0, y,
-                  w);
-  for (std::size_t i = 0; i < n; i += 997) {
-    EXPECT_DOUBLE_EQ(w[i], 2.0 * x[i] - 3.0 * y[i]);
-  }
-}
-
-TEST(ArrayOps, DotAndNorm) {
-  std::vector<double> x{3.0, 4.0};
-  std::vector<double> y{1.0, 2.0};
-  const auto e = make_exec(backend::omp_dynamic, 2, 1);
-  EXPECT_DOUBLE_EQ(micg::rt::dot(e, x, y), 11.0);
-  EXPECT_DOUBLE_EQ(micg::rt::norm2(e, x), 5.0);
-}
-
-TEST(ArrayOps, FillScaleMap) {
-  std::vector<double> w(1000);
-  const auto e = make_exec(backend::cilk_holder, 4, 64);
-  micg::rt::fill(e, w, 3.0);
-  for (double v : w) ASSERT_DOUBLE_EQ(v, 3.0);
-  micg::rt::scale(e, w, 2.0);
-  for (double v : w) ASSERT_DOUBLE_EQ(v, 6.0);
-  std::vector<double> out(1000);
-  micg::rt::map_elemental(e, w, out,
-                          [](double v) { return v * v + 1.0; });
-  for (double v : out) ASSERT_DOUBLE_EQ(v, 37.0);
-}
-
-TEST(ArrayOps, SizeMismatchThrows) {
-  std::vector<double> a(3), b(4), w(3);
-  const auto e = make_exec(backend::omp_dynamic, 1);
-  EXPECT_THROW(micg::rt::axpby(e, 1.0, a, 1.0, b, w), micg::check_error);
-  EXPECT_THROW(micg::rt::dot(e, a, b), micg::check_error);
 }
 
 // --------------------------------------- scheduling model vs real scheduler

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "micg/rt/reducer.hpp"
 #include "micg/rt/scan.hpp"
 #include "micg/rt/scheduler.hpp"
-#include "micg/rt/spinlock.hpp"
 #include "micg/rt/thread_pool.hpp"
 #include "micg/rt/ws_deque.hpp"
 #include "micg/support/cacheline.hpp"
@@ -222,22 +220,6 @@ TEST(TsanStress, PoolBackToBackRegionsPublishPayload) {
     }
   }
   EXPECT_EQ(mismatches, 0);
-}
-
-// --- spinlock ---------------------------------------------------------------
-
-TEST(TsanStress, SpinlockProtectsPlainData) {
-  thread_pool pool(kThreads);
-  micg::rt::spinlock mu;
-  std::int64_t counter = 0;  // non-atomic; protected by mu only
-  const std::int64_t per = kItems / 4;
-  pool.run(kThreads, [&](int) {
-    for (std::int64_t i = 0; i < per; ++i) {
-      std::lock_guard<micg::rt::spinlock> lock(mu);
-      ++counter;
-    }
-  });
-  EXPECT_EQ(counter, per * kThreads);
 }
 
 // --- reducers / scan --------------------------------------------------------
