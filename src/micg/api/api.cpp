@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -428,10 +429,16 @@ sssp_response run(const graph::any_csr& g, const sssp_request& req,
                  req.max_weight <=
                      std::numeric_limits<graph::weight_t>::max(),
              "max_weight must be in [1, 2^31)");
-  opt.delta = req.delta > 0
-                  ? req.delta
-                  : tune::pick_sssp_delta(graph::compute_graph_stats(g),
-                                          req.max_weight);
+  if (req.delta > 0) {
+    opt.delta = req.delta;
+  } else {
+    // The picker reads only the mean degree, the value a full stats pass
+    // would compute as 2|E| / |V|.
+    graph::graph_stats st;
+    st.avg_degree = static_cast<double>(g.num_directed_edges()) /
+                    static_cast<double>(n);
+    opt.delta = tune::pick_sssp_delta(st, req.max_weight);
+  }
   // The knob picker may move the scheduling chunk; like every tuned knob
   // the answer is invariant (any delta, any chunk -> same distances).
   // There is no sharded SSSP driver, so shards never pin knobs here.
@@ -448,11 +455,15 @@ sssp_response run(const graph::any_csr& g, const sssp_request& req,
     // Weights are re-derived per request from {seed, endpoints} — O(|E|),
     // and by construction identical across layouts, epochs and
     // compactions, which is what lets weighted queries run against any
-    // pinned snapshot without the store materializing them.
-    const auto w = graph::generate_weights(cg, wp);
-    const auto res = micg::bfs::delta_stepping_sssp(
-        cg, static_cast<VId>(source),
-        std::span<const graph::weight_t>(w), opt);
+    // pinned snapshot without the store materializing them. The fill
+    // writes every slot, so the array skips zeroing, and it runs on the
+    // request's own workers, which then hold its pages first-touched.
+    const auto m = static_cast<std::size_t>(cg.num_directed_edges());
+    const auto w = std::make_unique_for_overwrite<graph::weight_t[]>(m);
+    const std::span<graph::weight_t> ws(w.get(), m);
+    graph::fill_weights(cg, wp, ws, opt.ex);
+    const auto res =
+        micg::bfs::delta_stepping_sssp(cg, static_cast<VId>(source), ws, opt);
     r.reached = res.reached;
     r.relaxations = res.relaxations;
     r.buckets = res.buckets;

@@ -63,6 +63,14 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
   std::vector<std::atomic<std::int64_t>> dist(static_cast<std::size_t>(n));
   for (auto& d : dist) d.store(kInf, std::memory_order_relaxed);
   dist[static_cast<std::size_t>(source)].store(0, std::memory_order_relaxed);
+  // expanded[v] = the distance v's edges were last relaxed from (-1:
+  // never). A vertex is filed once per decrease, so it can sit in a bin
+  // several times at the same final distance; the exchange lets exactly
+  // one of those entries scan its edges. A repeat scan from the same
+  // distance could not win a single relaxation, so skipping it changes
+  // no distance and no count.
+  std::vector<std::atomic<std::int64_t>> expanded(static_cast<std::size_t>(n));
+  for (auto& e : expanded) e.store(-1, std::memory_order_relaxed);
 
   // bins[worker][b] holds the vertices this worker filed into bucket b
   // (absolute index, grown on demand). Worker-private: filled without
@@ -81,9 +89,12 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
   };
 
   rt::exec ex = opt.ex;
-  // Reuse one scheduler across all passes for the cilk/tbb backends.
-  rt::task_scheduler sched(ex.pool_or_global(), ex.threads);
-  if (ex.sched == nullptr && !rt::is_omp(ex.kind)) ex.sched = &sched;
+  // Reuse one scheduler across all passes for the cilk/tbb backends; the
+  // OpenMP-style backends never touch it, so they skip its deques.
+  std::optional<rt::task_scheduler> sched;
+  if (ex.sched == nullptr && !rt::is_omp(ex.kind)) {
+    ex.sched = &sched.emplace(ex.pool_or_global(), ex.threads);
+  }
 
   // The current bucket's frontier: the block-accessed queue, re-created
   // only when a bucket outgrows the largest one seen so far.
@@ -133,6 +144,10 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
         const std::int64_t dv =
             dist[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
         if (dv < bucket_floor) continue;  // settled by an earlier bucket
+        if (expanded[static_cast<std::size_t>(v)].exchange(
+                dv, std::memory_order_relaxed) == dv) {
+          continue;  // already expanded from this distance
+        }
         const auto nbrs = g.neighbors(v);
         const auto* wv =
             weights.data() +
@@ -219,6 +234,10 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
                     std::memory_order_relaxed);
             // Settled below this bucket by an earlier one — stale entry.
             if (dv < bucket_floor) continue;
+            if (expanded[static_cast<std::size_t>(v)].exchange(
+                    dv, std::memory_order_relaxed) == dv) {
+              continue;
+            }
             const auto nbrs = g.neighbors(v);
             const auto* wv =
                 weights.data() +

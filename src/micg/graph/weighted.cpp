@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "micg/rt/edge_partition.hpp"
 #include "micg/support/assert.hpp"
 
 namespace micg::graph {
 
 namespace {
+
+/// Vertices per fill chunk: enough hashing per dispatch to hide the claim,
+/// and enough chunks on a mid-size graph for the pool to balance.
+constexpr std::int64_t kFillGrain = 1024;
 
 void check_params(const weight_params& p) {
   MICG_CHECK(p.min_weight >= 1,
@@ -19,17 +24,36 @@ void check_params(const weight_params& p) {
 }  // namespace
 
 template <CsrGraph G>
-std::vector<weight_t> generate_weights(const G& g, const weight_params& p) {
+void fill_weights(const G& g, const weight_params& p, std::span<weight_t> out,
+                  const rt::exec& ex) {
   check_params(p);
-  const auto n = g.num_vertices();
-  std::vector<weight_t> w(static_cast<std::size_t>(g.num_directed_edges()));
-  for (typename G::vertex_type v = 0; v < n; ++v) {
-    auto base = static_cast<std::size_t>(g.xadj()[static_cast<std::size_t>(v)]);
-    for (const auto u : g.neighbors(v)) {
-      w[base++] = edge_weight(p, static_cast<std::int64_t>(v),
-                              static_cast<std::int64_t>(u));
+  MICG_CHECK(out.size() == static_cast<std::size_t>(g.num_directed_edges()),
+             "weights array is not adjacency-parallel");
+  using VId = typename G::vertex_type;
+  const auto fill_rows = [&](std::int64_t vb, std::int64_t ve, int) {
+    for (auto v = static_cast<VId>(vb); v < static_cast<VId>(ve); ++v) {
+      auto slot =
+          static_cast<std::size_t>(g.xadj()[static_cast<std::size_t>(v)]);
+      for (const auto u : g.neighbors(v)) {
+        out[slot++] = edge_weight(p, static_cast<std::int64_t>(v),
+                                  static_cast<std::int64_t>(u));
+      }
     }
+  };
+  const auto n = static_cast<std::int64_t>(g.num_vertices());
+  if (ex.threads <= 1) {
+    fill_rows(0, n, 0);
+    return;
   }
+  rt::exec grained = ex;
+  grained.chunk = kFillGrain;
+  rt::for_range_edges(grained, n, g.xadj().data(), fill_rows);
+}
+
+template <CsrGraph G>
+std::vector<weight_t> generate_weights(const G& g, const weight_params& p) {
+  std::vector<weight_t> w(static_cast<std::size_t>(g.num_directed_edges()));
+  fill_weights(g, p, std::span<weight_t>(w), rt::exec{});
   return w;
 }
 
@@ -72,6 +96,8 @@ void validate_weights(const any_csr& g, std::span<const weight_t> weights) {
 }
 
 #define MICG_INSTANTIATE(G)                                             \
+  template void fill_weights<G>(const G&, const weight_params&,         \
+                                std::span<weight_t>, const rt::exec&);  \
   template std::vector<weight_t> generate_weights<G>(const G&,          \
                                                      const weight_params&); \
   template void validate_weights<G>(const G&, std::span<const weight_t>);

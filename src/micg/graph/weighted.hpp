@@ -24,6 +24,7 @@
 
 #include "micg/graph/any_csr.hpp"
 #include "micg/graph/csr.hpp"
+#include "micg/rt/exec.hpp"
 #include "micg/support/rng.hpp"
 
 namespace micg::graph {
@@ -58,10 +59,20 @@ inline weight_t edge_weight(const weight_params& p, std::int64_t u,
                                sm.next() % range);
 }
 
-/// weights[i] = edge_weight of the edge stored at adjacency slot i, for
-/// every slot — the parallel array delta-stepping consumes. Defined for
-/// every shipped layout (instantiations in weighted.cpp). Throws
-/// micg::check_error on invalid params (min < 1 or min > max).
+/// out[i] = edge_weight of the edge stored at adjacency slot i, for every
+/// slot — the parallel array delta-stepping consumes. Every slot is
+/// written, so `out` may start uninitialized. At ex.threads > 1 the rows
+/// are split edge-balanced over ex's pool in chunks of ~1024 vertices (the
+/// workers that write the pages touch them first); at one thread the loop
+/// runs inline and opens no parallel region. Defined for every shipped
+/// layout (instantiations in weighted.cpp). Throws micg::check_error on
+/// invalid params (min < 1 or min > max) or when out.size() is not
+/// g.num_directed_edges().
+template <CsrGraph G>
+void fill_weights(const G& g, const weight_params& p, std::span<weight_t> out,
+                  const rt::exec& ex);
+
+/// fill_weights into a fresh vector on the calling thread.
 template <CsrGraph G>
 std::vector<weight_t> generate_weights(const G& g, const weight_params& p);
 

@@ -132,6 +132,40 @@ TEST(Weights, WeightedCsrViewSlicesPerVertex) {
   EXPECT_EQ(wg.weights_of(2)[0], wg.weights_of(0)[1]);
 }
 
+/// fill_weights at 4 threads over a zeroed buffer must write every slot
+/// with exactly the serial stream, in `G`'s layout.
+template <class G>
+void expect_parallel_fill_matches(const csr_graph& base) {
+  const auto g = micg::graph::convert_csr<G>(base);
+  weight_params wp;
+  wp.seed = 5;
+  const auto ref = micg::graph::generate_weights(g, wp);
+  micg::rt::exec ex;
+  ex.threads = 4;
+  std::vector<weight_t> w(ref.size(), 0);
+  micg::graph::fill_weights(g, wp, std::span<weight_t>(w), ex);
+  EXPECT_EQ(w, ref);
+  EXPECT_EQ(std::count(w.begin(), w.end(), weight_t{0}), 0);
+  std::vector<weight_t> short_buf(ref.size() - 1, 0);
+  EXPECT_THROW(micg::graph::fill_weights(g, wp, std::span<weight_t>(short_buf),
+                                         ex),
+               micg::check_error);
+}
+
+TEST(Weights, ParallelFillEqualsSerialStreamInEveryLayout) {
+  const auto rmat = micg::graph::make_rmat(12, 8, 0.57, 0.19, 0.19, 21);
+  std::int64_t isolated = 0;
+  for (std::int32_t v = 0; v < rmat.num_vertices(); ++v) {
+    isolated += rmat.degree(v) == 0 ? 1 : 0;
+  }
+  ASSERT_GT(isolated, 0);  // empty rows between filled ones
+  for (const auto& base : {rmat, micg::graph::make_grid_2d(40, 50)}) {
+    expect_parallel_fill_matches<csr32>(base);
+    expect_parallel_fill_matches<csr_graph>(base);
+    expect_parallel_fill_matches<csr64>(base);
+  }
+}
+
 // ------------------------------------------------- binary format v3
 
 TEST(BinaryV3, RoundTripsGraphAndWeights) {
@@ -363,25 +397,27 @@ TEST(PickSsspDelta, ScalesInverselyWithBranchingFactor) {
 // ------------------------------------------------- api surface
 
 TEST(ApiSssp, RunMatchesOracleAndReportsTargets) {
-  const auto g = micg::graph::make_erdos_renyi(250, 5.0, 31);
+  // Over 8 fill chunks of 1024 vertices, so the 4-thread fill splits.
+  const auto g = micg::graph::make_erdos_renyi(10000, 5.0, 31);
   const any_csr ag(g);
-  micg::api::sssp_request req;
-  req.source = 7;
-  req.targets = {0, 7, 100, 249};
-  const auto r = micg::api::run(ag, req);
-  EXPECT_EQ(r.source, 7);
-  EXPECT_EQ(r.num_vertices, 250);
-  EXPECT_GE(r.delta, 1);  // 0 in the request = auto-pick
   const auto w = micg::graph::generate_weights(g, weight_params{});
   const auto ref = micg::bfs::seq_dijkstra(g, 7, wspan(w));
-  ASSERT_EQ(r.target_dists.size(), 4u);
-  EXPECT_EQ(r.target_dists[0], ref[0]);
-  EXPECT_EQ(r.target_dists[1], 0);
-  EXPECT_EQ(r.target_dists[2], ref[100]);
-  EXPECT_EQ(r.target_dists[3], ref[249]);
   std::int64_t reached = 0;
   for (const auto d : ref) reached += d >= 0 ? 1 : 0;
-  EXPECT_EQ(r.reached, reached);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    micg::api::sssp_request req;
+    req.source = 7;
+    req.ex.threads = threads;
+    for (std::int64_t v = 0; v < 10000; ++v) req.targets.push_back(v);
+    const auto r = micg::api::run(ag, req);
+    EXPECT_EQ(r.source, 7);
+    EXPECT_EQ(r.num_vertices, 10000);
+    EXPECT_GE(r.delta, 1);  // 0 in the request = auto-pick
+    EXPECT_EQ(r.target_dists[7], 0);
+    EXPECT_EQ(r.target_dists, ref);
+    EXPECT_EQ(r.reached, reached);
+  }
 }
 
 TEST(ApiSssp, WeightsSeedAndDeltaFlowThroughTheWire) {

@@ -14,15 +14,19 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "micg/api/api.hpp"
 #include "micg/bfs/bag.hpp"
 #include "micg/bfs/block_queue.hpp"
+#include "micg/bfs/sssp.hpp"
 #include "micg/bfs/tls_queue.hpp"
 #include "micg/color/iterative.hpp"
 #include "micg/color/verify.hpp"
 #include "micg/graph/generators.hpp"
+#include "micg/graph/weighted.hpp"
 #include "micg/rt/barrier.hpp"
 #include "micg/rt/cilk_for.hpp"
 #include "micg/rt/exec.hpp"
@@ -389,6 +393,29 @@ TEST(TsanStress, IterativeColoringSpeculationRaces) {
     const auto r = micg::color::iterative_color(g, opt);
     ASSERT_TRUE(micg::color::is_valid_coloring(g, r.color))
         << micg::rt::backend_name(kind);
+  }
+}
+
+// --- sssp -------------------------------------------------------------------
+
+// api::run(sssp) at 4 threads: the request's weights are filled by the
+// pool's workers, then the relax passes race on CAS-min distances and on
+// the per-vertex `expanded` exchange that drops duplicate scans. Every
+// target distance must still be Dijkstra's.
+TEST(TsanStress, SsspParallelFillAndDedup) {
+  const auto g = micg::graph::make_rmat(12, 8, 0.57, 0.19, 0.19, 5);
+  const micg::graph::any_csr ag(g);
+  const auto w = micg::graph::generate_weights(g, micg::graph::weight_params{});
+  const auto ref = micg::bfs::seq_dijkstra(
+      g, 0, std::span<const micg::graph::weight_t>(w));
+  micg::api::sssp_request req;
+  req.source = 0;
+  req.ex.threads = 4;
+  for (std::int64_t v = 0; v < g.num_vertices(); ++v) {
+    req.targets.push_back(v);
+  }
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_EQ(micg::api::run(ag, req).target_dists, ref) << "round " << round;
   }
 }
 
