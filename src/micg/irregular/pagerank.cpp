@@ -1,6 +1,7 @@
 #include "micg/irregular/pagerank.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "micg/obs/obs.hpp"
@@ -37,26 +38,28 @@ pagerank_result pagerank(const G& g, const pagerank_options& opt) {
   const auto dist = static_cast<EId>(opt.mem.prefetch_distance);
   const bool vec = opt.mem.simd;
 
+  // Fills contrib[i] from vertex i's rank and returns its dangling mass:
+  // isolated vertices spread their whole rank everywhere.
+  auto fill_contrib = [&](std::int64_t i, double rank_i) {
+    const EId deg = xadj[i + 1] - xadj[i];
+    if (deg == 0) {
+      contrib[static_cast<std::size_t>(i)] = 0.0;
+      return rank_i;
+    }
+    contrib[static_cast<std::size_t>(i)] = rank_i / static_cast<double>(deg);
+    return 0.0;
+  };
+  // The reductions use fixed blocks (rt/reduce.hpp), not per-chunk
+  // accumulators, so the result — and through `base`, every rank value —
+  // is bit-identical across threads, chunk sizes and partitioning: the
+  // invariance that lets `--tune auto` retune the schedule without moving
+  // the answer.
+  double dangling = rt::deterministic_sum<1>(opt.ex, n, [&](std::int64_t i) {
+    return std::array{fill_contrib(i, r.rank[static_cast<std::size_t>(i)])};
+  })[0];
+
   for (r.iterations = 0; r.iterations < opt.max_iterations;
        ++r.iterations) {
-    // Dangling (isolated) vertices spread their rank everywhere; the same
-    // sweep fills the per-vertex contribution array. The reduction uses
-    // fixed blocks (rt/reduce.hpp), not per-chunk accumulators, so the
-    // result — and through `base`, every rank value — is bit-identical
-    // across threads, chunk sizes and partitioning: the invariance that
-    // lets `--tune auto` retune the schedule without moving the answer.
-    const double dangling =
-        rt::deterministic_sum(opt.ex, n, [&](std::int64_t i) {
-          const EId deg = xadj[i + 1] - xadj[i];
-          const double rank_i = r.rank[static_cast<std::size_t>(i)];
-          if (deg == 0) {
-            contrib[static_cast<std::size_t>(i)] = 0.0;
-            return rank_i;
-          }
-          contrib[static_cast<std::size_t>(i)] =
-              rank_i / static_cast<double>(deg);
-          return 0.0;
-        });
     const double base =
         (1.0 - opt.damping) / static_cast<double>(n) +
         opt.damping * dangling / static_cast<double>(n);
@@ -81,12 +84,17 @@ pagerank_result pagerank(const G& g, const pagerank_options& opt) {
             next[static_cast<std::size_t>(i)] = base + opt.damping * sum;
           }
         });
-    // Convergence delta in its own deterministic O(|V|) sweep — streaming
-    // reads of two dense arrays, negligible next to the gather pass.
-    r.final_delta = rt::deterministic_sum(opt.ex, n, [&](std::int64_t i) {
-      return std::abs(next[static_cast<std::size_t>(i)] -
-                      r.rank[static_cast<std::size_t>(i)]);
-    });
+    // One fused O(|V|) sweep: the convergence delta of this iteration,
+    // plus contrib and the dangling mass of `next`, the rank the next
+    // iteration gathers from.
+    const auto [delta, next_dangling] =
+        rt::deterministic_sum<2>(opt.ex, n, [&](std::int64_t i) {
+          const double x = next[static_cast<std::size_t>(i)];
+          return std::array{std::abs(x - r.rank[static_cast<std::size_t>(i)]),
+                            fill_contrib(i, x)};
+        });
+    r.final_delta = delta;
+    dangling = next_dangling;
     r.rank.swap(next);
     if (r.final_delta < opt.tolerance) {
       r.converged = true;

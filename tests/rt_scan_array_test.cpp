@@ -1,8 +1,14 @@
-// Tests for parallel scan, the compacting frontier (the paper's rejected
-// alternative, §IV-C), and a validation of the scheduling model against
-// the real schedulers.
+// Tests for parallel scan, the fixed-block deterministic sum, the
+// compacting frontier (the paper's rejected alternative, §IV-C), and a
+// validation of the scheduling model against the real schedulers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -13,6 +19,7 @@
 #include "micg/model/machine.hpp"
 #include "micg/model/sched_model.hpp"
 #include "micg/rt/loop.hpp"
+#include "micg/rt/reduce.hpp"
 #include "micg/rt/scan.hpp"
 #include "micg/rt/thread_pool.hpp"
 #include "micg/support/cacheline.hpp"
@@ -76,6 +83,106 @@ TEST(Scan, DoubleValuesWork) {
   EXPECT_DOUBLE_EQ(total, 8.0);
   EXPECT_DOUBLE_EQ(v[0], 0.0);
   EXPECT_DOUBLE_EQ(v[3], 4.0);
+}
+
+// -------------------------------------------------------- deterministic sum
+
+constexpr std::int64_t kBlock = micg::rt::deterministic_sum_block;
+constexpr std::int64_t kSumSizes[] = {0,          1,          kBlock - 1,
+                                      kBlock,     kBlock + 1, 9 * kBlock + 17};
+constexpr backend kSumBackends[] = {backend::omp_static, backend::omp_dynamic,
+                                    backend::cilk_holder, backend::tbb_auto};
+
+/// Terms spanning forty binary orders of magnitude, both signs, so any
+/// regrouping of the additions moves low bits.
+std::vector<double> sum_terms(std::int64_t n, std::uint64_t seed) {
+  micg::xoshiro256ss rng(seed);
+  std::vector<double> t(static_cast<std::size_t>(n));
+  for (auto& x : t) {
+    const int exponent = static_cast<int>(rng.below(40));
+    x = (rng.uniform() - 0.5) * std::ldexp(1.0, exponent);
+  }
+  return t;
+}
+
+/// Serial reference: sequential sums within fixed blocks, combined in
+/// block order.
+double blockwise_sum(const std::vector<double>& t) {
+  const auto n = static_cast<std::int64_t>(t.size());
+  double total = 0.0;
+  for (std::int64_t lo = 0; lo < n; lo += kBlock) {
+    double s = 0.0;
+    for (std::int64_t i = lo; i < std::min(n, lo + kBlock); ++i) {
+      s += t[static_cast<std::size_t>(i)];
+    }
+    total += s;
+  }
+  return total;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(DeterministicSum, VisitsEachIndexExactlyOnce) {
+  for (const std::int64_t n : kSumSizes) {
+    for (const backend b : kSumBackends) {
+      std::vector<std::atomic<int>> visits(static_cast<std::size_t>(n));
+      const auto sum = micg::rt::deterministic_sum<1>(
+          make_exec(b, 4), n, [&](std::int64_t i) {
+            visits[static_cast<std::size_t>(i)].fetch_add(
+                1, std::memory_order_relaxed);
+            return std::array{1.0};
+          });
+      EXPECT_EQ(sum[0], static_cast<double>(n));
+      std::int64_t wrong = 0;
+      for (const auto& v : visits) wrong += v.load() != 1 ? 1 : 0;
+      EXPECT_EQ(wrong, 0) << micg::rt::backend_name(b) << " n=" << n;
+    }
+  }
+}
+
+TEST(DeterministicSum, MatchesSerialBlockwiseBits) {
+  const std::int64_t chunks[] = {1, 64, std::int64_t{1} << 20};
+  for (const std::int64_t n : kSumSizes) {
+    // Several seeds: for a single draw, another combine order can round
+    // to the same total by chance.
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const auto t = sum_terms(n, seed);
+      const double ref = blockwise_sum(t);
+      for (const backend b : kSumBackends) {
+        for (const int threads : {1, 4}) {
+          for (const std::int64_t chunk : chunks) {
+            const auto sum = micg::rt::deterministic_sum<1>(
+                make_exec(b, threads, chunk), n, [&](std::int64_t i) {
+                  return std::array{t[static_cast<std::size_t>(i)]};
+                });
+            EXPECT_EQ(bits(sum[0]), bits(ref))
+                << micg::rt::backend_name(b) << " T=" << threads
+                << " chunk=" << chunk << " n=" << n << " seed=" << seed;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DeterministicSum, FusedSweepEqualsSingleSweeps) {
+  for (const std::int64_t n : kSumSizes) {
+    const auto a = sum_terms(n, 5);
+    const auto c = sum_terms(n, 6);
+    const exec e = make_exec(backend::omp_dynamic, 4);
+    const auto single = [&](const std::vector<double>& t) {
+      return micg::rt::deterministic_sum<1>(e, n, [&](std::int64_t i) {
+        return std::array{t[static_cast<std::size_t>(i)]};
+      })[0];
+    };
+    const auto [sa, sc] =
+        micg::rt::deterministic_sum<2>(e, n, [&](std::int64_t i) {
+          const auto j = static_cast<std::size_t>(i);
+          return std::array{a[j], c[j]};
+        });
+    EXPECT_EQ(bits(sa), bits(single(a))) << "n=" << n;
+    EXPECT_EQ(bits(sc), bits(single(c))) << "n=" << n;
+  }
 }
 
 // --------------------------------------------------------- compact frontier

@@ -27,9 +27,11 @@
 #include "micg/color/verify.hpp"
 #include "micg/graph/generators.hpp"
 #include "micg/graph/weighted.hpp"
+#include "micg/irregular/pagerank.hpp"
 #include "micg/rt/barrier.hpp"
 #include "micg/rt/cilk_for.hpp"
 #include "micg/rt/exec.hpp"
+#include "micg/rt/reduce.hpp"
 #include "micg/rt/reducer.hpp"
 #include "micg/rt/scan.hpp"
 #include "micg/rt/scheduler.hpp"
@@ -268,6 +270,30 @@ TEST(TsanStress, ParallelScanMatchesSequential) {
     const auto total = micg::rt::parallel_exclusive_scan(e, got);
     EXPECT_EQ(total, running) << micg::rt::backend_name(kind);
     EXPECT_EQ(got, expect) << micg::rt::backend_name(kind);
+  }
+}
+
+// pagerank's fixed-block sweeps hand each 4096-vertex block to whichever
+// worker claims it, so one sweep's writes to contrib and to the block
+// partials come from several workers, and the next region's gather reads
+// them. Every 4-thread run must reproduce the T=1 bits.
+TEST(TsanStress, PagerankSweepsAcrossWorkers) {
+  const auto g = micg::graph::make_rmat(15, 8, 0.57, 0.19, 0.19, 3);
+  ASSERT_GE(g.num_vertices(), 8 * micg::rt::deterministic_sum_block);
+  micg::irregular::pagerank_options opt;
+  opt.max_iterations = 8;
+  opt.ex.threads = 1;
+  const auto ref = micg::irregular::pagerank(g, opt);
+  opt.ex.threads = 4;
+  constexpr micg::rt::backend kinds[] = {micg::rt::backend::omp_dynamic,
+                                         micg::rt::backend::cilk_holder,
+                                         micg::rt::backend::tbb_auto};
+  for (int round = 0; round < kRounds; ++round) {
+    opt.ex.kind = kinds[round % 3];
+    const auto r = micg::irregular::pagerank(g, opt);
+    ASSERT_EQ(r.rank, ref.rank) << "round " << round;
+    ASSERT_EQ(r.final_delta, ref.final_delta) << "round " << round;
+    ASSERT_EQ(r.iterations, ref.iterations) << "round " << round;
   }
 }
 
