@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "micg/bfs/centrality.hpp"
@@ -348,12 +347,13 @@ color_response run(const graph::any_csr& g, const color_request& req,
       const auto res = micg::color::iterative_color_distance2(cg, opt);
       r.num_colors = res.num_colors;
       r.rounds = res.rounds;
-      r.valid = micg::color::is_valid_distance2_coloring(cg, res.color);
+      r.valid = micg::color::is_valid_distance2_coloring(cg, res.color,
+                                                          opt.ex);
     } else {
       const auto res = micg::color::iterative_color(cg, opt);
       r.num_colors = res.num_colors;
       r.rounds = res.rounds;
-      r.valid = micg::color::is_valid_coloring(cg, res.color);
+      r.valid = micg::color::is_valid_coloring(cg, res.color, opt.ex);
     }
   });
   r.distance2 = req.distance2;
@@ -439,6 +439,10 @@ sssp_response run(const graph::any_csr& g, const sssp_request& req,
                     static_cast<double>(n);
     opt.delta = tune::pick_sssp_delta(st, req.max_weight);
   }
+  // Each worker's bucket window spans up to max_weight / delta + 1 bins;
+  // a wider one is a request for memory, not for a different answer.
+  MICG_CHECK(req.max_weight / opt.delta <= (std::int64_t{1} << 20),
+             "max_weight / delta must be <= 2^20 (raise delta)");
   // The knob picker may move the scheduling chunk; like every tuned knob
   // the answer is invariant (any delta, any chunk -> same distances).
   // There is no sharded SSSP driver, so shards never pin knobs here.
@@ -490,11 +494,11 @@ cc_response run(const graph::any_csr& g, const cc_request& req,
     const auto res = graph::parallel_components(cg, ex);
     r.num_components = static_cast<std::int64_t>(res.num_components);
     r.rounds = res.rounds;
-    // Labels are canonical smallest-member ids, not dense: count sizes
-    // through a map keyed by label.
-    std::unordered_map<std::int64_t, std::int64_t> size;
+    // Labels are smallest-member ids, so each is a vertex id below n:
+    // count sizes in a dense array indexed by label.
+    std::vector<std::int64_t> size(static_cast<std::size_t>(n), 0);
     for (const auto l : res.label) {
-      r.largest = std::max(r.largest, ++size[static_cast<std::int64_t>(l)]);
+      r.largest = std::max(r.largest, ++size[static_cast<std::size_t>(l)]);
     }
   });
   r.num_vertices = n;

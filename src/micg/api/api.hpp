@@ -514,7 +514,7 @@ struct cc_request {
 struct cc_response {
   std::int64_t num_components = 0;
   std::int64_t largest = 0;  ///< vertices in the largest component
-  std::int64_t rounds = 0;   ///< hook+compress iterations until fixpoint
+  std::int64_t rounds = 0;   ///< link passes (Afforest: always 3)
   std::int64_t num_vertices = 0;
 
   static constexpr auto fields() {

@@ -204,11 +204,12 @@ direction_bfs_result direction_optimizing_bfs(const G& g,
               for (std::int64_t i = b; i < e; ++i) {
                 const VId v = frontier[static_cast<std::size_t>(i)];
                 for (VId w : g.neighbors(v)) {
+                  auto& slot = level[static_cast<std::size_t>(w)];
                   int expected = -1;
-                  if (level[static_cast<std::size_t>(w)]
-                          .compare_exchange_strong(
-                              expected, depth, std::memory_order_relaxed,
-                              std::memory_order_relaxed)) {
+                  if (slot.load(std::memory_order_relaxed) == -1 &&
+                      slot.compare_exchange_strong(
+                          expected, depth, std::memory_order_relaxed,
+                          std::memory_order_relaxed)) {
                     next[cursor.fetch_add(1, std::memory_order_relaxed)] = w;
                   }
                 }

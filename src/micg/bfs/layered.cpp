@@ -46,8 +46,8 @@ namespace {
 
 using level_array = std::vector<std::atomic<int>>;
 
-/// Try to claim w for `next_level`. Locked: CAS, exactly-once semantics.
-/// Relaxed: Leiserson–Schardl benign race — check then plain store.
+/// Try to claim w for `next_level`. Locked: check, then CAS — exactly
+/// once. Relaxed: Leiserson–Schardl benign race — check then plain store.
 template <class VId>
 inline bool claim_vertex(level_array& level, VId w, int next_level,
                          bool relaxed) {
@@ -59,8 +59,11 @@ inline bool claim_vertex(level_array& level, VId w, int next_level,
     }
     return false;
   }
+  // Testing before locking (§IV-C) makes a visited vertex cost a load
+  // instead of a CAS on a line other workers are reading.
   int expected = -1;
-  return slot.compare_exchange_strong(expected, next_level,
+  return slot.load(std::memory_order_relaxed) == -1 &&
+         slot.compare_exchange_strong(expected, next_level,
                                       std::memory_order_relaxed,
                                       std::memory_order_relaxed);
 }

@@ -1,5 +1,6 @@
 #include "micg/bfs/sssp.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <limits>
@@ -42,6 +43,68 @@ inline bool relax_min(std::atomic<std::int64_t>& slot, std::int64_t nd) {
   return false;
 }
 
+/// One worker's bucket bins over a cyclic window of buckets that starts
+/// at the one being processed (the front). Relaxing from bucket b over an
+/// edge of weight w files at most ceil(w / delta) buckets past b, and no
+/// bin below the front is ever non-empty, so ceil(max_w / delta) + 1
+/// slots hold every live entry. The window grows on demand and never
+/// past that bound for the weights filed so far.
+template <class VId>
+class bucket_window {
+ public:
+  bucket_window() : slots_(1) {}
+
+  /// The bin of bucket a, which must lie in the window (the front
+  /// bucket always does).
+  std::vector<VId>& at(std::int64_t a) {
+    std::size_t s = head_ + static_cast<std::size_t>(a - base_);
+    if (s >= slots_.size()) s -= slots_.size();
+    return slots_[s];
+  }
+
+  /// File v into bucket a, reached from the front bucket over an edge of
+  /// weight w, so a lies at most ceil(w / delta) buckets past the front.
+  void file(std::int64_t a, std::int64_t w, std::int64_t delta, VId v) {
+    const auto need = static_cast<std::size_t>(a - base_) + 1;
+    if (need > slots_.size()) {
+      const auto bound =
+          static_cast<std::size_t>(w / delta + (w % delta != 0 ? 1 : 0)) + 1;
+      grow(std::max(need, std::min(2 * slots_.size(), bound)));
+    }
+    at(a).push_back(v);
+  }
+
+  /// Lowest non-empty bucket in the window, or -1.
+  [[nodiscard]] std::int64_t first_nonempty() {
+    for (std::size_t d = 0; d < slots_.size(); ++d) {
+      if (!at(base_ + static_cast<std::int64_t>(d)).empty()) {
+        return base_ + static_cast<std::int64_t>(d);
+      }
+    }
+    return -1;
+  }
+
+  /// Move the front to bucket b; every bin below b must be empty.
+  void advance(std::int64_t b) {
+    head_ = (head_ + static_cast<std::size_t>(b - base_)) % slots_.size();
+    base_ = b;
+  }
+
+ private:
+  void grow(std::size_t size) {
+    std::vector<std::vector<VId>> next(size);
+    for (std::size_t d = 0; d < slots_.size(); ++d) {
+      next[d] = std::move(at(base_ + static_cast<std::int64_t>(d)));
+    }
+    slots_ = std::move(next);
+    head_ = 0;
+  }
+
+  std::vector<std::vector<VId>> slots_;
+  std::size_t head_ = 0;  ///< slot of the front bucket
+  std::int64_t base_ = 0;  ///< the front bucket
+};
+
 }  // namespace
 
 template <micg::graph::CsrGraph G>
@@ -72,20 +135,14 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
   std::vector<std::atomic<std::int64_t>> expanded(static_cast<std::size_t>(n));
   for (auto& e : expanded) e.store(-1, std::memory_order_relaxed);
 
-  // bins[worker][b] holds the vertices this worker filed into bucket b
-  // (absolute index, grown on demand). Worker-private: filled without
-  // synchronization during a relax pass, drained between passes.
-  std::vector<std::vector<std::vector<VId>>> bins(
-      static_cast<std::size_t>(threads));
-  bins[0].resize(1);
-  bins[0][0].push_back(source);
+  // bins[worker] holds the vertices this worker filed, by bucket.
+  // Worker-private: filled without synchronization during a relax pass,
+  // drained and advanced between passes.
+  std::vector<bucket_window<VId>> bins(static_cast<std::size_t>(threads));
+  bins[0].file(0, 0, delta, source);
 
-  auto file = [&](int worker, std::int64_t b, VId v) {
-    auto& mine = bins[static_cast<std::size_t>(worker)];
-    if (static_cast<std::size_t>(b) >= mine.size()) {
-      mine.resize(static_cast<std::size_t>(b) + 1);
-    }
-    mine[static_cast<std::size_t>(b)].push_back(v);
+  auto file = [&](int worker, std::int64_t nd, weight_t w, VId v) {
+    bins[static_cast<std::size_t>(worker)].file(nd / delta, w, delta, v);
   };
 
   rt::exec ex = opt.ex;
@@ -106,6 +163,20 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
   sssp_result r;
   r.delta = delta;
 
+  // The lowest non-empty bucket over every worker's bins (-1: none);
+  // each window's front moves there.
+  auto advance_bins = [&] {
+    std::int64_t next = -1;
+    for (auto& mine : bins) {
+      const std::int64_t cand = mine.first_nonempty();
+      if (cand >= 0 && (next < 0 || cand < next)) next = cand;
+    }
+    if (next >= 0) {
+      for (auto& mine : bins) mine.advance(next);
+    }
+    return next;
+  };
+
   std::int64_t bucket = 0;
   std::int64_t counted = -1;  // last bucket index added to r.buckets
   while (bucket >= 0) {
@@ -118,13 +189,11 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
     // bucket into the block queue.
     std::size_t total = 0;
     std::int64_t edge_mass = 0;
-    for (const auto& mine : bins) {
-      if (static_cast<std::size_t>(bucket) < mine.size()) {
-        const auto& slot = mine[static_cast<std::size_t>(bucket)];
-        total += slot.size();
-        for (const VId v : slot) {
-          edge_mass += static_cast<std::int64_t>(g.degree(v));
-        }
+    for (auto& mine : bins) {
+      const auto& slot = mine.at(bucket);
+      total += slot.size();
+      for (const VId v : slot) {
+        edge_mass += static_cast<std::int64_t>(g.degree(v));
       }
     }
 
@@ -134,8 +203,7 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
       // Serial path: relax the bucket inline, no frontier machinery.
       scratch.clear();
       for (auto& mine : bins) {
-        if (static_cast<std::size_t>(bucket) >= mine.size()) continue;
-        auto& slot = mine[static_cast<std::size_t>(bucket)];
+        auto& slot = mine.at(bucket);
         scratch.insert(scratch.end(), slot.begin(), slot.end());
         slot.clear();
       }
@@ -157,7 +225,7 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
           const std::int64_t nd = dv + wv[j];
           if (relax_min(dist[static_cast<std::size_t>(w)], nd)) {
             ++local;
-            file(0, nd / delta, w);
+            file(0, nd, wv[j], w);
           }
         }
       }
@@ -166,18 +234,7 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
       }
       ++r.rounds;
 
-      std::int64_t next = -1;
-      for (const auto& mine : bins) {
-        for (auto b = static_cast<std::size_t>(bucket); b < mine.size();
-             ++b) {
-          if (!mine[b].empty()) {
-            const auto cand = static_cast<std::int64_t>(b);
-            if (next < 0 || cand < next) next = cand;
-            break;
-          }
-        }
-      }
-      bucket = next;
+      bucket = advance_bins();
       continue;
     }
 
@@ -196,11 +253,8 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
       rt::for_range(flush_ex, static_cast<std::int64_t>(threads),
                     [&](std::int64_t b, std::int64_t e, int worker) {
                       for (std::int64_t j = b; j < e; ++j) {
-                        auto& bin = bins[static_cast<std::size_t>(j)];
-                        if (static_cast<std::size_t>(bucket) >= bin.size()) {
-                          continue;
-                        }
-                        auto& slot = bin[static_cast<std::size_t>(bucket)];
+                        auto& slot =
+                            bins[static_cast<std::size_t>(j)].at(bucket);
                         for (VId v : slot) frontier->push(worker, v);
                         slot.clear();
                       }
@@ -248,7 +302,7 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
               const std::int64_t nd = dv + wv[j];
               if (relax_min(dist[static_cast<std::size_t>(w)], nd)) {
                 ++local;
-                file(worker, nd / delta, w);
+                file(worker, nd, wv[j], w);
               }
             }
           }
@@ -261,17 +315,7 @@ sssp_result delta_stepping_sssp(const G& g, typename G::vertex_type source,
     // Light relaxations can re-file vertices into the bucket just
     // processed: repeat it until it drains, then advance to the lowest
     // non-empty bucket anywhere (none left -> done).
-    std::int64_t next = -1;
-    for (const auto& mine : bins) {
-      for (auto b = static_cast<std::size_t>(bucket); b < mine.size(); ++b) {
-        if (!mine[b].empty()) {
-          const auto cand = static_cast<std::int64_t>(b);
-          if (next < 0 || cand < next) next = cand;
-          break;
-        }
-      }
-    }
-    bucket = next;
+    bucket = advance_bins();
   }
 
   r.relaxations = relaxations.load(std::memory_order_relaxed);

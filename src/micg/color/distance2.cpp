@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 
+#include "micg/color/verify.hpp"
 #include "micg/rt/reducer.hpp"
 #include "micg/rt/tls.hpp"
 #include "micg/support/assert.hpp"
@@ -58,22 +59,21 @@ coloring greedy_color_distance2(const G& g) {
 }
 
 template <micg::graph::CsrGraph G>
-bool is_valid_distance2_coloring(const G& g, std::span<const int> color) {
+bool is_valid_distance2_coloring(const G& g, std::span<const int> color,
+                                 const rt::exec& ex) {
   using VId = typename G::vertex_type;
   const VId n = g.num_vertices();
   if (static_cast<VId>(color.size()) != n) return false;
-  for (VId v = 0; v < n; ++v) {
-    if (color[static_cast<std::size_t>(v)] < 1) return false;
+  return detail::all_vertices(ex, n, [&](std::int64_t i) {
+    const auto v = static_cast<VId>(i);
+    const int c = color[static_cast<std::size_t>(v)];
+    if (c < 1) return false;
     bool ok = true;
     for_d2_neighborhood(g, v, [&](VId u) {
-      if (u != v && color[static_cast<std::size_t>(u)] ==
-                        color[static_cast<std::size_t>(v)]) {
-        ok = false;
-      }
+      if (u != v && color[static_cast<std::size_t>(u)] == c) ok = false;
     });
-    if (!ok) return false;
-  }
-  return true;
+    return ok;
+  });
 }
 
 template <micg::graph::CsrGraph G>
@@ -161,7 +161,7 @@ iterative_result iterative_color_distance2(const G& g,
   template iterative_result iterative_color_distance2<G>(          \
       const G&, const iterative_options&);                         \
   template bool is_valid_distance2_coloring<G>(                    \
-      const G&, std::span<const int>);
+      const G&, std::span<const int>, const rt::exec&);
 MICG_FOR_EACH_CSR_LAYOUT(MICG_INSTANTIATE)
 #undef MICG_INSTANTIATE
 

@@ -27,8 +27,11 @@ template <micg::graph::CsrGraph G>
 iterative_result iterative_color_distance2(const G& g,
                                            const iterative_options& opt);
 
-/// True iff no two distinct vertices within distance 2 share a color.
+/// True iff every vertex has a color >= 1 and no two distinct vertices
+/// within distance 2 share a color. Runs on ex's workers; the default is
+/// one thread.
 template <micg::graph::CsrGraph G>
-bool is_valid_distance2_coloring(const G& g, std::span<const int> color);
+bool is_valid_distance2_coloring(const G& g, std::span<const int> color,
+                                 const rt::exec& ex = {});
 
 }  // namespace micg::color

@@ -7,20 +7,19 @@
 namespace micg::color {
 
 template <micg::graph::CsrGraph G>
-bool is_valid_coloring(const G& g, std::span<const int> color) {
+bool is_valid_coloring(const G& g, std::span<const int> color,
+                       const rt::exec& ex) {
   using VId = typename G::vertex_type;
   const VId n = g.num_vertices();
   if (static_cast<VId>(color.size()) != n) return false;
-  for (VId v = 0; v < n; ++v) {
-    if (color[static_cast<std::size_t>(v)] < 1) return false;
-    for (VId w : g.neighbors(v)) {
-      if (color[static_cast<std::size_t>(v)] ==
-          color[static_cast<std::size_t>(w)]) {
-        return false;
-      }
+  return detail::all_vertices(ex, n, [&](std::int64_t v) {
+    const int c = color[static_cast<std::size_t>(v)];
+    if (c < 1) return false;
+    for (VId w : g.neighbors(static_cast<VId>(v))) {
+      if (c == color[static_cast<std::size_t>(w)]) return false;
     }
-  }
-  return true;
+    return true;
+  });
 }
 
 template <micg::graph::CsrGraph G>
@@ -51,8 +50,8 @@ int count_colors(std::span<const int> color) {
 }
 
 #define MICG_INSTANTIATE(G)                                     \
-  template bool is_valid_coloring<G>(const G&,                  \
-                                     std::span<const int>);     \
+  template bool is_valid_coloring<G>(                           \
+      const G&, std::span<const int>, const rt::exec&);         \
   template std::vector<typename G::vertex_type>                 \
   find_conflicts<G>(const G&, std::span<const int>);
 MICG_FOR_EACH_CSR_LAYOUT(MICG_INSTANTIATE)

@@ -3,6 +3,8 @@
 // quality bound of §V-B, and the distance-2 extension.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -352,6 +354,43 @@ TEST(Distance2, ValidityCheckerRejectsD1OnlyColoring) {
   auto g = micg::graph::make_chain(5);
   std::vector<int> d1{1, 2, 1, 2, 1};  // valid distance-1, not distance-2
   EXPECT_FALSE(micg::color::is_valid_distance2_coloring(g, d1));
+}
+
+// The checkers run on the caller's exec; the verdict must not depend on
+// the backend, the thread count, the chunk, or where the defect sits.
+TEST(ColoringCheckers, VerdictIsTheSameOnEveryExec) {
+  const auto g = micg::graph::make_erdos_renyi(3000, 6.0, 17);
+  const auto d1 = micg::color::greedy_color(g).color;
+  const auto d2 = micg::color::greedy_color_distance2(g).color;
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const auto nbr = static_cast<std::size_t>(g.neighbors(vertex_t(2999))[0]);
+  auto d1_clash = d1;  // last vertex takes a neighbor's color
+  d1_clash[n - 1] = d1[nbr];
+  auto d1_zero = d1;  // an uncolored vertex mid-range
+  d1_zero[n / 2] = 0;
+  auto d2_zero = d2;
+  d2_zero[n / 2] = 0;
+  for (const int threads : {1, 4}) {
+    for (const backend b :
+         {backend::omp_static, backend::cilk_holder, backend::tbb_simple}) {
+      for (const std::int64_t chunk : {std::int64_t{1}, std::int64_t{64}}) {
+        SCOPED_TRACE(std::string(micg::rt::backend_name(b)) +
+                     " threads=" + std::to_string(threads) +
+                     " chunk=" + std::to_string(chunk));
+        micg::rt::exec ex;
+        ex.kind = b;
+        ex.threads = threads;
+        ex.chunk = chunk;
+        EXPECT_TRUE(micg::color::is_valid_coloring(g, d1, ex));
+        EXPECT_FALSE(micg::color::is_valid_coloring(g, d1_clash, ex));
+        EXPECT_FALSE(micg::color::is_valid_coloring(g, d1_zero, ex));
+        EXPECT_TRUE(micg::color::is_valid_distance2_coloring(g, d2, ex));
+        // A distance-1 coloring clashes at distance 2 somewhere.
+        EXPECT_FALSE(micg::color::is_valid_distance2_coloring(g, d1, ex));
+        EXPECT_FALSE(micg::color::is_valid_distance2_coloring(g, d2_zero, ex));
+      }
+    }
+  }
 }
 
 class Distance2Parallel : public ::testing::TestWithParam<backend> {};

@@ -4,6 +4,7 @@
 // and the sssp/cc api request surface (the structs the CLI and server
 // share). The cross-family differential sweep lives in property_test.cpp.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <span>
@@ -457,6 +458,64 @@ TEST(ApiSssp, InvalidRequestsThrow) {
   req = {};
   req.max_weight = 0;
   EXPECT_THROW(micg::api::run(ag, req), micg::check_error);
+}
+
+TEST(ApiSssp, RefusesABucketSpanOver2To20) {
+  const any_csr ag(micg::graph::make_chain(5));
+  micg::api::sssp_request req;
+  req.source = 0;
+  req.delta = 1;
+  req.max_weight = 2147483647;
+  // check_error is what the serve layer answers with bad_request.
+  try {
+    (void)micg::api::dispatch_query(
+        ag, "sssp",
+        micg::api::json::parse(R"({"delta": 1, "max_weight": 2147483647})"));
+    ADD_FAILURE() << "request was not refused";
+  } catch (const micg::check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("max_weight / delta"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(micg::api::run(ag, req), micg::check_error);
+  req.max_weight = 1 << 20;  // exactly 2^20 buckets per weight: allowed
+  EXPECT_EQ(micg::api::run(ag, req).reached, 5);
+}
+
+/// Peak resident set of this process so far, in bytes.
+std::int64_t peak_rss_bytes() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::int64_t>(ru.ru_maxrss) * 1024;  // Linux: KiB
+}
+
+TEST(ApiSssp, DeepChainAtDeltaOneKeepsTheBucketWindowSmall) {
+  // Distances reach ~2.5e7 at the default weights, so bins indexed by
+  // absolute bucket number would hold ~2.5e7 vector headers per filing
+  // worker; the cyclic window needs at most 256.
+  constexpr std::int64_t n = 200000;
+  const auto g = micg::graph::make_chain(n);
+  const any_csr ag(g);
+  const auto w = micg::graph::generate_weights(g, weight_params{});
+  const auto ref = micg::bfs::seq_dijkstra(g, 0, wspan(w));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    micg::api::sssp_request req;
+    req.source = 0;
+    req.delta = 1;
+    req.ex.threads = threads;
+    for (std::int64_t v = 0; v < n; v += 997) req.targets.push_back(v);
+    req.targets.push_back(n - 1);
+    const std::int64_t before = peak_rss_bytes();
+    const auto r = micg::api::run(ag, req);
+    EXPECT_LT(peak_rss_bytes() - before, std::int64_t{64} << 20);
+    EXPECT_EQ(r.reached, n);
+    ASSERT_EQ(r.target_dists.size(), req.targets.size());
+    for (std::size_t i = 0; i < req.targets.size(); ++i) {
+      EXPECT_EQ(r.target_dists[i],
+                ref[static_cast<std::size_t>(req.targets[i])]);
+    }
+  }
 }
 
 TEST(ApiCc, MatchesParallelComponentsAndCountsLargest) {

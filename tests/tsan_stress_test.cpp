@@ -25,6 +25,7 @@
 #include "micg/bfs/tls_queue.hpp"
 #include "micg/color/iterative.hpp"
 #include "micg/color/verify.hpp"
+#include "micg/graph/components.hpp"
 #include "micg/graph/generators.hpp"
 #include "micg/graph/weighted.hpp"
 #include "micg/irregular/pagerank.hpp"
@@ -294,6 +295,27 @@ TEST(TsanStress, PagerankSweepsAcrossWorkers) {
     ASSERT_EQ(r.rank, ref.rank) << "round " << round;
     ASSERT_EQ(r.final_delta, ref.final_delta) << "round " << round;
     ASSERT_EQ(r.iterations, ref.iterations) << "round " << round;
+  }
+}
+
+// Afforest's link passes CAS roots that other workers are climbing
+// through, and its compress passes shortcut parents that other workers
+// read. Every 4-thread run must produce the T=1 labels.
+TEST(TsanStress, ComponentsLinkAcrossWorkers) {
+  const auto g = micg::graph::make_rmat(15, 8, 0.57, 0.19, 0.19, 3);
+  micg::rt::exec ex;
+  ex.threads = 1;
+  const auto ref = micg::graph::parallel_components(g, ex);
+  ex.threads = 4;
+  constexpr micg::rt::backend kinds[] = {micg::rt::backend::omp_dynamic,
+                                         micg::rt::backend::cilk_holder,
+                                         micg::rt::backend::tbb_auto};
+  for (int round = 0; round < kRounds; ++round) {
+    ex.kind = kinds[round % 3];
+    const auto r = micg::graph::parallel_components(g, ex);
+    ASSERT_EQ(r.label, ref.label) << "round " << round;
+    ASSERT_EQ(r.num_components, ref.num_components) << "round " << round;
+    ASSERT_EQ(r.rounds, ref.rounds) << "round " << round;
   }
 }
 
