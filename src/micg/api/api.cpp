@@ -11,7 +11,6 @@
 #include "micg/bfs/layered.hpp"
 #include "micg/bfs/msbfs.hpp"
 #include "micg/bfs/seq.hpp"
-#include "micg/bfs/sharded.hpp"
 #include "micg/bfs/sssp.hpp"
 #include "micg/graph/components.hpp"
 #include "micg/graph/weighted.hpp"
@@ -20,15 +19,19 @@
 #include "micg/color/ordering.hpp"
 #include "micg/color/verify.hpp"
 #include "micg/bfs/direction.hpp"
-#include "micg/graph/shard.hpp"
 #include "micg/graph/stats.hpp"
 #include "micg/irregular/pagerank.hpp"
-#include "micg/irregular/sharded_pagerank.hpp"
 #include "micg/tune/tune.hpp"
 
 namespace micg::api {
 
 namespace {
+
+/// Sharded execution was removed. The field stays on the wire so a
+/// request that still asks for shards is refused instead of silently
+/// running unsharded (from_json ignores unknown fields).
+constexpr const char* kShardsRemoved =
+    "shards must be 1: sharded execution was removed";
 
 /// Top-k selection by descending score, ties broken exactly like the
 /// historical CLI code (std::partial_sort over the index array with a
@@ -121,8 +124,7 @@ rt::exec resolve_exec(const exec_params& p, const run_context& ctx) {
   MICG_CHECK(p.threads >= 1 && p.threads <= 4096,
              "threads must be in [1, 4096]");
   MICG_CHECK(p.chunk >= 1, "chunk must be >= 1");
-  MICG_CHECK(p.shards >= 1 && p.shards <= graph::max_shards,
-             "shards must be in [1, 256]");
+  MICG_CHECK(p.shards == 1, kShardsRemoved);
   rt::exec e;
   e.kind = rt::backend_from_name(p.backend);
   e.threads = p.threads;
@@ -130,7 +132,6 @@ rt::exec resolve_exec(const exec_params& p, const run_context& ctx) {
     e.threads = ctx.max_threads;
   }
   e.chunk = p.chunk;
-  e.shards = p.shards;
   e.pool = ctx.pool;
   e.rec = ctx.rec;
   return e;
@@ -141,8 +142,7 @@ rt::exec resolve_exec(const exec_params& p, const run_context& ctx) {
 
 info_response run(const graph::any_csr& g, const info_request& req,
                   const run_context& ctx) {
-  MICG_CHECK(req.shards >= 1 && req.shards <= graph::max_shards,
-             "shards must be in [1, 256]");
+  MICG_CHECK(req.shards == 1, kShardsRemoved);
   info_response r;
   r.layout = graph::layout_name(g.layout());
   // Degree columns via the memoizable one-sweep probe (graph/stats.hpp).
@@ -158,20 +158,7 @@ info_response run(const graph::any_csr& g, const info_request& req,
     r.degeneracy = static_cast<std::int64_t>(color::degeneracy(cg));
     r.bfs_levels_from_mid = bfs::seq_bfs(cg, cg.num_vertices() / 2).num_levels;
   });
-  r.shards = req.shards;
   r.epoch = ctx.snapshot_epoch;
-  if (req.shards > 1) {
-    const auto sg = graph::make_sharded(g, static_cast<int>(req.shards));
-    for (int s = 0; s < sg.shards(); ++s) {
-      r.shard_vertices.push_back(sg.part(s).num_owned());
-      r.shard_edges.push_back(sg.part(s).owned_directed_edges);
-    }
-    r.cut_edges = sg.cut_edges();
-    r.cut_fraction = sg.cut_fraction();
-  } else {
-    r.shard_vertices.push_back(r.num_vertices);
-    r.shard_edges.push_back(g.num_directed_edges());
-  }
   return r;
 }
 
@@ -206,15 +193,7 @@ bfs_response run(const graph::any_csr& g, const bfs_request& req,
     return r;
   };
   const tuned_plan tp(g, req.ex, ctx, opt.ex.sink());
-  const tune::knob_plan* plan = tp.get();
-  if (plan != nullptr && opt.ex.shards > 1) {
-    // The sharded BSP driver pins its own knobs and ignores the picker;
-    // drop the plan *and* re-tag the metrics so they report the fixed
-    // knobs that actually ran instead of an auto plan that never applied.
-    tune::tag_sharded_pin(opt.ex.sink());
-    plan = nullptr;
-  }
-  if (plan != nullptr) {
+  if (const tune::knob_plan* plan = tp.get(); plan != nullptr) {
     if (plan->chunk > 0) opt.ex.chunk = plan->chunk;
     if (plan->bfs_direction) {
       // The tuner predicts wide, collapsing frontiers: run the
@@ -235,15 +214,6 @@ bfs_response run(const graph::any_csr& g, const bfs_request& req,
                       "Direction-optimizing");
       });
     }
-  }
-  if (opt.ex.shards > 1) {
-    // Sharded BSP path: partition, run the bulk-synchronous driver (one
-    // thread pool per shard; the variant's queue flavor does not apply),
-    // same levels as every other variant.
-    const auto sg = graph::make_sharded(g, opt.ex.shards);
-    micg::bfs::sharded_bfs_options sopt;
-    sopt.ex = opt.ex;
-    return record(micg::bfs::sharded_bfs(sg, source, sopt), "BSP-sharded");
   }
   return g.visit([&](const auto& cg) {
     using VId = typename std::decay_t<decltype(cg)>::vertex_type;
@@ -377,15 +347,7 @@ pagerank_response run(const graph::any_csr& g, const pagerank_request& req,
   opt.tolerance = req.tolerance;
   opt.max_iterations = static_cast<int>(req.max_iterations);
   const tuned_plan tp(g, req.ex, ctx, opt.ex.sink());
-  const tune::knob_plan* plan = tp.get();
-  if (plan != nullptr && opt.ex.shards > 1) {
-    // The sharded driver reduces per chunk and pins its own knobs, so
-    // the picker's plan never applies there; re-tag the metrics to say
-    // so rather than advertising an auto plan that did not run.
-    tune::tag_sharded_pin(opt.ex.sink());
-    plan = nullptr;
-  }
-  if (plan != nullptr) {
+  if (const tune::knob_plan* plan = tp.get(); plan != nullptr) {
     // Memory fast-path knobs are bit-identical by construction (the
     // parity tests pin it) and the reductions use deterministic fixed
     // blocks (rt/reduce.hpp), so the tuner is free to flip knobs and
@@ -393,20 +355,13 @@ pagerank_response run(const graph::any_csr& g, const pagerank_request& req,
     opt.mem = plan->mem;
     if (plan->chunk > 0) opt.ex.chunk = plan->chunk;
   }
-  const auto record = [&](const auto& res) {
-    r.iterations = res.iterations;
-    r.converged = res.converged;
-    r.final_delta = res.final_delta;
-    r.top = top_entries(res.rank, req.top);
-    return r;
-  };
-  if (opt.ex.shards > 1) {
-    const auto sg = graph::make_sharded(g, opt.ex.shards);
-    return record(micg::irregular::sharded_pagerank(sg, opt));
-  }
-  return g.visit([&](const auto& cg) {
-    return record(micg::irregular::pagerank(cg, opt));
-  });
+  const auto res = g.visit(
+      [&](const auto& cg) { return micg::irregular::pagerank(cg, opt); });
+  r.iterations = res.iterations;
+  r.converged = res.converged;
+  r.final_delta = res.final_delta;
+  r.top = top_entries(res.rank, req.top);
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -445,7 +400,6 @@ sssp_response run(const graph::any_csr& g, const sssp_request& req,
              "max_weight / delta must be <= 2^20 (raise delta)");
   // The knob picker may move the scheduling chunk; like every tuned knob
   // the answer is invariant (any delta, any chunk -> same distances).
-  // There is no sharded SSSP driver, so shards never pin knobs here.
   const tuned_plan tp(g, req.ex, ctx, opt.ex.sink());
   if (const tune::knob_plan* plan = tp.get();
       plan != nullptr && plan->chunk > 0) {

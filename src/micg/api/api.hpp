@@ -97,9 +97,8 @@ struct exec_params {
   std::string backend = "OpenMP-dynamic";
   int threads = 4;
   std::int64_t chunk = 64;
-  /// Shards for the bulk-synchronous drivers (graph/shard.hpp): 1 runs
-  /// the plain kernels; N > 1 partitions the graph and runs the sharded
-  /// BFS/pagerank drivers with `threads` workers per shard.
+  /// Input only: resolve_exec refuses anything but 1 (sharded execution
+  /// was removed), so an old client asking for shards fails loudly.
   int shards = 1;
   /// Auto-tuning mode: "fixed", "auto", "calibrate", or "" (defer to
   /// $MICG_TUNE, then "fixed"). Under auto/calibrate the knob picker
@@ -114,7 +113,8 @@ struct exec_params {
     using T = exec_params;
     return std::to_array<field<T>>(
         {{"backend", &T::backend}, {"threads", &T::threads},
-         {"chunk", &T::chunk}, {"shards", &T::shards},
+         {"chunk", &T::chunk},
+         {.wire = "shards", .member = &T::shards, .omit_unset = true},
          {.wire = "tune", .member = &T::tune, .omit_unset = true}});
   }
 };
@@ -146,13 +146,13 @@ rt::exec resolve_exec(const exec_params& p, const run_context& ctx);
 // info
 
 struct info_request {
-  /// Report the edge-balanced shard partition at this count (per-shard
-  /// sizes, cut edges). 1 = the trivial single-shard view.
+  /// Input only: run() refuses anything but 1, like exec_params::shards.
   std::int64_t shards = 1;
 
   static constexpr auto fields() {
     using T = info_request;
-    return std::to_array<field<T>>({{"shards", &T::shards}});
+    return std::to_array<field<T>>(
+        {{.wire = "shards", .member = &T::shards, .omit_unset = true}});
   }
 };
 
@@ -167,12 +167,6 @@ struct info_response {
   std::int64_t degeneracy = 0;
   /// BFS levels of a traversal from vertex |V|/2 (Table I convention).
   std::int64_t bfs_levels_from_mid = 0;
-  /// Shard partition report at the requested count.
-  std::int64_t shards = 1;
-  std::vector<std::int64_t> shard_vertices;  ///< owned vertices per shard
-  std::vector<std::int64_t> shard_edges;     ///< owned adjacency entries
-  std::int64_t cut_edges = 0;  ///< undirected edges crossing shards
-  double cut_fraction = 0.0;
   /// Snapshot epoch of the graph answered from (run_context); -1 when the
   /// graph is not versioned (CLI, direct library use).
   std::int64_t epoch = -1;
@@ -185,9 +179,6 @@ struct info_response {
          {"max_degree", &T::max_degree}, {"avg_degree", &T::avg_degree},
          {"components", &T::components}, {"degeneracy", &T::degeneracy},
          {"bfs_levels_from_mid", &T::bfs_levels_from_mid},
-         {"shards", &T::shards}, {"shard_vertices", &T::shard_vertices},
-         {"shard_edges", &T::shard_edges}, {"cut_edges", &T::cut_edges},
-         {"cut_fraction", &T::cut_fraction},
          {.wire = "epoch", .member = &T::epoch, .omit_unset = true}});
   }
 };
@@ -377,7 +368,6 @@ struct color_request {
   exec_params ex{.backend = "OpenMP-dynamic",
                  .threads = 4,
                  .chunk = 100,
-                 .shards = 1,
                  .tune = {}};
   bool distance2 = false;
 

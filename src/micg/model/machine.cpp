@@ -13,7 +13,6 @@ machine_config machine_config::knf() {
   m.mem_latency = 40.0;
   m.mlp = 4;
   m.chip_mem_ops_per_unit = 6.0;
-  m.socket_mem_ops_per_unit = 6.0;
   m.chunk_claim = 30.0;
   m.contention_per_thread = 1.0;
   m.task_spawn = 90.0;
@@ -35,7 +34,6 @@ machine_config machine_config::host_xeon() {
   m.mem_latency = 9.0;
   m.mlp = 4;
   m.chip_mem_ops_per_unit = 3.0;
-  m.socket_mem_ops_per_unit = 3.0;
   m.chunk_claim = 8.0;
   m.contention_per_thread = 0.6;
   m.task_spawn = 25.0;
@@ -46,30 +44,11 @@ machine_config machine_config::host_xeon() {
   return m;
 }
 
-machine_config machine_config::multi_socket() {
-  machine_config m = host_xeon();
-  m.name = "MultiSocket";
-  m.sockets = 4;
-  m.cores = 32;  // 8 per socket
-  // Each socket owns its memory controllers; one socket streaming alone
-  // sees roughly the single-chip figure.
-  m.socket_mem_ops_per_unit = 3.0;
-  m.chip_mem_ops_per_unit = 3.0;  // what one unsharded run can reach
-  // Interconnect: a message is a handful of cache lines' worth of
-  // bandwidth-amortized transfer, far below a full remote-latency stall.
-  m.cross_msg_cost = 2.5;
-  // Cross-socket rendezvous per round and shard: orders of magnitude above
-  // an on-chip fork-join, the term that caps fine-grained sharding.
-  m.shard_barrier_cost = 600.0;
-  return m;
-}
-
 machine_config machine_config::knc() {
   machine_config m = knf();
   m.name = "KNC";
   m.cores = 57;
   m.chip_mem_ops_per_unit *= 1.8;  // GDDR5 at production clocks
-  m.socket_mem_ops_per_unit = m.chip_mem_ops_per_unit;
   return m;
 }
 

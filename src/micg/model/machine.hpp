@@ -63,23 +63,6 @@ struct machine_config {
   /// scheduling policies performs better" at scale (§V-B).
   double thread_jitter = 0.15;
 
-  // --- multi-socket topology (sharded execution, docs/sharding.md) -------
-  /// Sockets (== natural shard count). 1 for the single-chip presets;
-  /// shard counts above `sockets` keep paying barrier and message costs
-  /// without unlocking more bandwidth.
-  int sockets = 1;
-  /// Memory throughput of one socket (memory ops per time unit). Shards
-  /// stream from their own socket's controllers, so aggregate bandwidth
-  /// scales with min(shards, sockets) — the term that makes sharding pay.
-  double socket_mem_ops_per_unit = 6.0;
-  /// Time units to move one cross-shard message (a frontier id or a halo
-  /// contribution) over the socket interconnect, amortized at the
-  /// bulk-exchange rate rather than per-load latency.
-  double cross_msg_cost = 2.0;
-  /// Per-shard cost of one BSP round barrier (the rendezvous is
-  /// centralized, so it grows linearly in the shard count).
-  double shard_barrier_cost = 400.0;
-
   /// The Knights Ferry prototype the paper measures (§V-A).
   static machine_config knf();
   /// The dual-Xeon host (§V-A), for Figure 4(d).
@@ -88,10 +71,6 @@ struct machine_config {
   /// commercial design ... will feature more than 50 cores"): 57 cores,
   /// same SMT, faster GDDR5.
   static machine_config knc();
-  /// A four-socket host in the paper's §VI spirit (MIC cards/sockets
-  /// cooperating on one graph): per-socket Xeon-class memory, a QPI-like
-  /// interconnect for the halo exchange, expensive cross-socket barriers.
-  static machine_config multi_socket();
 };
 
 }  // namespace micg::model

@@ -63,11 +63,6 @@ std::vector<backend> all_backends();
 struct exec {
   backend kind = backend::omp_dynamic;
   int threads = 1;
-  /// Shard count for the bulk-synchronous drivers (rt/shard_exec.hpp):
-  /// 1 means single-shard execution on the plain kernels; N > 1 makes the
-  /// api layer partition the graph and run the sharded BSP drivers with
-  /// `threads` workers per shard.
-  int shards = 1;
   /// Chunk size (OpenMP), grain (Cilk leaves), or range grain (TBB).
   std::int64_t chunk = 64;
   /// Pool to run on; nullptr means thread_pool::global().

@@ -179,16 +179,6 @@ void tag_plan(obs::recorder* rec, tune_mode mode, const knob_plan& plan) {
   rec->set_meta("tune.why", plan.rationale);
 }
 
-void tag_sharded_pin(obs::recorder* rec) {
-  if (rec == nullptr) return;
-  // set_meta is last-write-wins: this overwrites the tags tag_plan
-  // emitted before the api layer discovered the request is sharded.
-  rec->set_meta("tune.mode", tune_mode_name(tune_mode::fixed));
-  rec->set_meta("tune.knobs", "(sharded-pinned)");
-  rec->set_meta("tune.why",
-                "sharded path pins fixed knobs; picker plan not applied");
-}
-
 const calibration_profile& profile_for_mode(tune_mode m) {
   if (m == tune_mode::calibrate) {
     // One quick in-process measurement, shared by every later pick.

@@ -101,13 +101,6 @@ std::int64_t pick_sssp_delta(const graph::graph_stats& st,
 /// when rec is nullptr).
 void tag_plan(obs::recorder* rec, tune_mode mode, const knob_plan& plan);
 
-/// Re-tag `rec` as effectively fixed because the sharded (BSP) drivers
-/// pin their own knobs and ignore the picker. Called by the api layer
-/// when a non-fixed request runs with shards > 1, *after* tag_plan, so
-/// the emitted metrics say what actually happened instead of advertising
-/// an auto plan that was never applied (no-op when rec is nullptr).
-void tag_sharded_pin(obs::recorder* rec);
-
 /// The profile a non-fixed mode consults: auto_pick -> host_profile();
 /// calibrate -> a quick measured profile, cached for the process.
 const calibration_profile& profile_for_mode(tune_mode m);

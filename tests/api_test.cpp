@@ -289,6 +289,27 @@ TEST(ApiRequest, ThreadsAndShardsAreRangeCheckedBeforeNarrowing) {
             2147483647);  // in range for int; resolve_exec rejects it later
 }
 
+// Sharded execution was removed, but `shards` is still read so that a
+// client asking for it is refused rather than silently run unsharded.
+TEST(ApiRequest, ShardsOtherThanOneAreRefused) {
+  const auto g = grid();
+  for (const char* op : {"bfs", "pagerank", "info"}) {
+    SCOPED_TRACE(op);
+    for (const char* params : {R"({"shards":2})", R"({"shards":0})"}) {
+      try {
+        (void)micg::api::dispatch_query(g, op, json::parse(params));
+        ADD_FAILURE() << params << " was accepted";
+      } catch (const micg::check_error& e) {
+        EXPECT_NE(std::string(e.what()).find("shards must be 1"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_NO_THROW((void)micg::api::dispatch_query(
+        g, op, json::parse(R"({"shards":1,"threads":1})")));
+  }
+}
+
 TEST(ApiRequest, BcModeAcceptsOnlyBatchedOrRepeated) {
   using micg::api::bc_request;
   EXPECT_FALSE(from_json<bc_request>(json::parse(R"({"mode":"repeated"})"))
@@ -368,65 +389,9 @@ TEST(ApiRun, InfoMatchesGraph) {
   EXPECT_EQ(r.min_degree, 2);
   EXPECT_EQ(r.max_degree, 4);
   EXPECT_EQ(r.layout, "csr32");
-  // Default shard report: one trivial shard, no cut, unversioned.
-  EXPECT_EQ(r.shards, 1);
-  ASSERT_EQ(r.shard_vertices.size(), 1u);
-  EXPECT_EQ(r.shard_vertices[0], 64);
-  ASSERT_EQ(r.shard_edges.size(), 1u);
-  EXPECT_EQ(r.shard_edges[0], 224);  // directed adjacency entries
-  EXPECT_EQ(r.cut_edges, 0);
+  // Unversioned: "epoch" only appears on the wire for a snapshot.
   EXPECT_EQ(r.epoch, -1);
-}
-
-TEST(ApiRun, InfoShardReportIsConsistent) {
-  const auto g = grid();
-  micg::api::info_request req;
-  req.shards = 4;
-  const auto r = micg::api::run(g, req);
-  EXPECT_EQ(r.shards, 4);
-  ASSERT_EQ(r.shard_vertices.size(), 4u);
-  ASSERT_EQ(r.shard_edges.size(), 4u);
-  std::int64_t vtx = 0, adj = 0;
-  for (int s = 0; s < 4; ++s) {
-    vtx += r.shard_vertices[static_cast<std::size_t>(s)];
-    adj += r.shard_edges[static_cast<std::size_t>(s)];
-  }
-  EXPECT_EQ(vtx, r.num_vertices);
-  EXPECT_EQ(adj, 2 * r.num_edges);
-  EXPECT_GT(r.cut_edges, 0);  // a split grid always cuts rows
-  EXPECT_GT(r.cut_fraction, 0.0);
-  EXPECT_LE(r.cut_fraction, 1.0);
-  // JSON round trip carries the report; "epoch" only appears versioned.
-  const json j = micg::api::to_json(r);
-  EXPECT_EQ(j.at("shards").as_int(), 4);
-  EXPECT_EQ(j.at("shard_vertices").as_array().size(), 4u);
-  EXPECT_EQ(j.find("epoch"), nullptr);
-  micg::api::info_request bad;
-  bad.shards = 0;
-  EXPECT_THROW((void)micg::api::run(g, bad), micg::check_error);
-}
-
-TEST(ApiRun, ShardedExecMatchesPlainThroughDispatch) {
-  const auto g = grid();
-  micg::api::run_context ctx;
-  const json plain_bfs = micg::api::dispatch_query(
-      g, "bfs", json::parse(R"({"threads":1})"), ctx);
-  const json shard_bfs = micg::api::dispatch_query(
-      g, "bfs", json::parse(R"({"threads":2,"shards":3})"), ctx);
-  EXPECT_EQ(shard_bfs.at("variant").as_string(), "BSP-sharded");
-  EXPECT_EQ(shard_bfs.at("num_levels").as_int(),
-            plain_bfs.at("num_levels").as_int());
-  EXPECT_EQ(shard_bfs.at("reached").as_int(),
-            plain_bfs.at("reached").as_int());
-
-  const json plain_pr = micg::api::dispatch_query(
-      g, "pagerank", json::parse(R"({"threads":1})"), ctx);
-  const json shard_pr = micg::api::dispatch_query(
-      g, "pagerank", json::parse(R"({"threads":2,"shards":3})"), ctx);
-  EXPECT_EQ(shard_pr.at("iterations").as_int(),
-            plain_pr.at("iterations").as_int());
-  EXPECT_EQ(shard_pr.at("top").as_array().size(),
-            plain_pr.at("top").as_array().size());
+  EXPECT_EQ(micg::api::to_json(r).find("epoch"), nullptr);
 }
 
 TEST(ApiRun, BfsDefaultsAndTargets) {

@@ -20,12 +20,14 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "micg/api/api.hpp"
 #include "micg/api/json.hpp"
 #include "micg/api/parse.hpp"
 #include "micg/obs/emit.hpp"
+#include "micg/support/assert.hpp"
 
 namespace {
 
@@ -38,11 +40,12 @@ bool update_mode() {
 }
 
 /// Run a shell command (from inside the golden directory, so fixture paths
-/// in the output are relative) and capture its stdout. MICG_TUNE is
-/// pinned to fixed so the goldens stay meaningful when the ambient
-/// environment opts into auto-tuning (which may legitimately change the
-/// reported BFS variant name, though never any result).
-std::string run_cli(const std::string& args) {
+/// in the output are relative) and capture its exit status and combined
+/// stdout/stderr. MICG_TUNE is pinned to fixed so the goldens stay
+/// meaningful when the ambient environment opts into auto-tuning (which
+/// may legitimately change the reported BFS variant name, though never
+/// any result).
+std::pair<int, std::string> run_cli_status(const std::string& args) {
   const std::string cmd = "cd '" + golden_dir() + "' && MICG_TUNE=fixed '" +
                           cli_path() + "' " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
@@ -52,10 +55,13 @@ std::string run_cli(const std::string& args) {
   while (pipe != nullptr && fgets(buf, sizeof buf, pipe) != nullptr) {
     out += buf;
   }
-  if (pipe != nullptr) {
-    const int rc = pclose(pipe);
-    EXPECT_EQ(rc, 0) << cmd << "\n" << out;
-  }
+  return {pipe != nullptr ? pclose(pipe) : -1, out};
+}
+
+/// run_cli_status for a command that must succeed; returns its output.
+std::string run_cli(const std::string& args) {
+  auto [rc, out] = run_cli_status(args);
+  EXPECT_EQ(rc, 0) << args << "\n" << out;
   return out;
 }
 
@@ -158,6 +164,13 @@ TEST(Golden, CcStdout) {
                normalize_stdout(run_cli("cc tiny.mtx --threads 1")));
 }
 
+// Sharded execution was removed; asking for it must fail, not run plain.
+TEST(Cli, ShardsOtherThanOneExitNonZero) {
+  const auto [rc, out] = run_cli_status("bfs tiny.mtx --shards 2");
+  EXPECT_NE(rc, 0) << out;
+  EXPECT_NE(out.find("shards must be 1"), std::string::npos) << out;
+}
+
 /// Rounds every JSON real with a fraction to 6 significant digits: the
 /// last bits of kernel arithmetic (bc scores, pagerank deltas) move with
 /// the compiler's floating-point contraction, the wire encoding does not.
@@ -183,10 +196,9 @@ TEST(Golden, ApiWire) {
   using micg::api::json;
   const auto g = micg::api::load_graph(golden_dir() + "/tiny.mtx");
   const std::string ex =
-      R"("backend":"OpenMP-static","threads":1,"chunk":16,"shards":2,)"
-      R"("tune":"fixed")";
+      R"("backend":"OpenMP-static","threads":1,"chunk":16,"tune":"fixed")";
   const std::pair<const char*, std::string> cases[] = {
-      {"info", R"({"shards":2})"},
+      {"info", "{}"},
       {"bfs", R"({"variant":"OpenMP-Block","source":0,"block":16,)"
               R"("targets":[0,59],)" + ex + "}"},
       {"msbfs", R"({"sources":8,"lanes":4,"source_list":[0,1,2],)" + ex + "}"},
@@ -206,6 +218,17 @@ TEST(Golden, ApiWire) {
              "\n";
     }
   }
+  // A removed field is refused, not ignored. Keep only the message after
+  // MICG_CHECK's "expression at file:line -- " prefix, as the server does.
+  const std::string refused = R"({"shards":2})";
+  out += "info " + refused + "\n  ";
+  try {
+    out += micg::api::dispatch_query(g, "info", json::parse(refused)).dump();
+  } catch (const micg::check_error& e) {
+    const std::string what = e.what();
+    out += "error: " + what.substr(what.find(" -- ") + 4);
+  }
+  out += "\n";
   micg::api::dist_response d;
   d.source = 0;
   d.target = 59;

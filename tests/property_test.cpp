@@ -30,7 +30,6 @@
 #include "micg/bfs/layered.hpp"
 #include "micg/bfs/msbfs.hpp"
 #include "micg/bfs/seq.hpp"
-#include "micg/bfs/sharded.hpp"
 #include "micg/bfs/sssp.hpp"
 #include "micg/graph/components.hpp"
 #include "micg/graph/weighted.hpp"
@@ -40,10 +39,8 @@
 #include "micg/color/verify.hpp"
 #include "micg/graph/csr.hpp"
 #include "micg/graph/generators.hpp"
-#include "micg/graph/shard.hpp"
 #include "micg/irregular/heat.hpp"
 #include "micg/irregular/pagerank.hpp"
-#include "micg/irregular/sharded_pagerank.hpp"
 #include "micg/irregular/spmv.hpp"
 #include "micg/support/rng.hpp"
 
@@ -443,70 +440,6 @@ TEST_F(PropertySweep, HeatDiffusionMatchesNaiveReference) {
       ASSERT_EQ(u.size(), n);
       for (std::size_t v = 0; v < n; ++v) {
         ASSERT_NEAR(u[v], ref[v], 1e-12) << "vertex " << v;
-      }
-    });
-  }
-}
-
-// -------------------------------------- sharded execution vs single-shard
-
-// Every generator family x all three layouts x shard counts {1, 2, 4, 7}:
-// the bulk-synchronous sharded drivers must reproduce the single-shard
-// kernels — BFS levels exactly, pagerank ranks within 1e-12 (the monotone
-// local remap keeps per-row gather sums bit-identical; only the
-// dangling/delta reductions reorder).
-
-TEST_F(PropertySweep, ShardedBfsMatchesSeqAcrossShardCounts) {
-  for (const auto& gg : graphs_) {
-    for_each_layout(gg.g, [&](const auto& g, const char* layout) {
-      SCOPED_TRACE(trace(gg, layout));
-      const micg::graph::any_csr ag(g);
-      const auto n = ag.num_vertices();
-      for (const int shards : {1, 2, 4, 7}) {
-        const auto sg = micg::graph::make_sharded(ag, shards);
-        ASSERT_NO_THROW(sg.validate(ag)) << "shards=" << shards;
-        for (const std::int64_t source : {std::int64_t{0}, n / 2}) {
-          SCOPED_TRACE("shards=" + std::to_string(shards) +
-                       " source=" + std::to_string(source));
-          const auto ref = micg::bfs::seq_bfs(
-              g, static_cast<
-                     typename std::decay_t<decltype(g)>::vertex_type>(
-                     source));
-          micg::bfs::sharded_bfs_options opt;
-          opt.ex.threads = 2;
-          const auto r = micg::bfs::sharded_bfs(sg, source, opt);
-          ASSERT_EQ(r.level, ref.level);
-          EXPECT_EQ(r.num_levels, ref.num_levels);
-          EXPECT_EQ(r.reached, ref.reached);
-          EXPECT_EQ(r.frontier_sizes, ref.frontier_sizes);
-        }
-      }
-    });
-  }
-}
-
-TEST_F(PropertySweep, ShardedPagerankMatchesSingleShardAcrossShardCounts) {
-  for (const auto& gg : graphs_) {
-    for_each_layout(gg.g, [&](const auto& g, const char* layout) {
-      SCOPED_TRACE(trace(gg, layout));
-      // Fixed iteration count (tolerance no run can reach) so both paths
-      // walk the same power-iteration trajectory step for step.
-      micg::irregular::pagerank_options opt;
-      opt.ex.threads = 2;
-      opt.tolerance = 1e-300;
-      opt.max_iterations = 30;
-      const auto ref = micg::irregular::pagerank(g, opt);
-      const micg::graph::any_csr ag(g);
-      for (const int shards : {1, 2, 4, 7}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        const auto sg = micg::graph::make_sharded(ag, shards);
-        const auto r = micg::irregular::sharded_pagerank(sg, opt);
-        EXPECT_EQ(r.iterations, ref.iterations);
-        EXPECT_EQ(r.converged, ref.converged);
-        ASSERT_EQ(r.rank.size(), ref.rank.size());
-        for (std::size_t v = 0; v < ref.rank.size(); ++v) {
-          ASSERT_NEAR(r.rank[v], ref.rank[v], 1e-12) << "vertex " << v;
-        }
       }
     });
   }

@@ -715,6 +715,35 @@ TEST(Session, TruncatedFinalFrameIsABadRequest) {
   EXPECT_EQ(status_of(line), "bad_request");
 }
 
+// Sharded execution was removed: a session asking for shards gets
+// bad_request with the reason, and shards=1 still runs.
+TEST(Session, ShardsOtherThanOneAreBadRequests) {
+  graph_store store;
+  store.add("g", grid());
+  service svc(store, {.max_inflight = 1, .max_waiting = 1,
+                      .threads_per_query = 1});
+  std::istringstream in(
+      R"({"id":"b","op":"bfs","graph":"g","params":{"shards":2}})" "\n"
+      R"({"id":"p","op":"pagerank","graph":"g","params":{"shards":2}})" "\n"
+      R"({"id":"i","op":"info","graph":"g","params":{"shards":2}})" "\n"
+      R"({"id":"ok","op":"bfs","graph":"g","params":{"shards":1}})" "\n");
+  std::ostringstream out;
+  svc.serve_session(in, out);
+  std::istringstream lines(out.str());
+  std::string line;
+  for (const char* id : {"b", "p", "i"}) {
+    ASSERT_TRUE(std::getline(lines, line));
+    const json r = parse(line);
+    EXPECT_EQ(r.at("id").as_string(), id);
+    EXPECT_EQ(r.at("status").as_string(), "bad_request");
+    EXPECT_EQ(r.at("error").as_string(),
+              "shards must be 1: sharded execution was removed");
+  }
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(parse(line).at("id").as_string(), "ok");
+  EXPECT_EQ(status_of(line), "ok");
+}
+
 // ---------------------------------------------------------------------------
 // End to end: unix socket, concurrent clients, a mutating writer
 

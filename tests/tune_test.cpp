@@ -468,62 +468,36 @@ TEST_F(TuneInvariance, CalibrateModeMatchesFixedToo) {
   EXPECT_EQ(tuned.reached, fixed.reached);
 }
 
-// Regression: the sharded drivers run on fixed knobs regardless of the
-// requested tune mode (the picker plan has no sharded application path).
-// The bug: `--shards 2 --tune auto` silently reported tune.mode=auto while
-// executing fixed knobs. The fix tags the truth instead.
-TEST_F(TuneInvariance, ShardedRunReportsPinnedFixedKnobs) {
+// An auto request's metrics name the mode that picked its knobs.
+TEST_F(TuneInvariance, AutoRunTagsItsMode) {
   const any_csr g(micg::graph::make_grid_2d(20, 20));
-  const auto meta_of = [&](int shards, const char* kernel) {
+  const auto mode_of = [&](const char* kernel) {
     micg::obs::recorder rec;
     micg::api::run_context ctx;
     ctx.rec = &rec;
     if (std::string(kernel) == "bfs") {
       micg::api::bfs_request req;
       req.ex.threads = 2;
-      req.ex.shards = shards;
       req.ex.tune = "auto";
       micg::api::run(g, req, ctx);
     } else {
       micg::api::pagerank_request req;
       req.ex.threads = 2;
-      req.ex.shards = shards;
       req.ex.tune = "auto";
       req.max_iterations = 5;
       micg::api::run(g, req, ctx);
     }
     const auto snap = rec.take();
-    std::string mode, why;
+    std::string mode;
     for (const auto& [k, v] : snap.meta) {
       if (k == "tune.mode") mode = v;
-      if (k == "tune.why") why = v;
     }
-    return std::make_pair(mode, why);
+    return mode;
   };
   for (const char* kernel : {"bfs", "pagerank"}) {
     SCOPED_TRACE(kernel);
-    const auto [pinned_mode, pinned_why] = meta_of(2, kernel);
-    EXPECT_EQ(pinned_mode, "fixed")
-        << "sharded runs execute fixed knobs and must say so";
-    EXPECT_NE(pinned_why.find("shard"), std::string::npos) << pinned_why;
-    const auto [plain_mode, plain_why] = meta_of(1, kernel);
-    EXPECT_EQ(plain_mode, "auto") << plain_why;
+    EXPECT_EQ(mode_of(kernel), "auto");
   }
-}
-
-TEST_F(TuneInvariance, ShardedAutoStillMatchesShardedFixed) {
-  // Pinning is honest *and* harmless: answers can't move either way.
-  const any_csr g(micg::graph::make_rmat(8, 8, 0.57, 0.19, 0.19, 5));
-  micg::api::bfs_request req;
-  req.ex.threads = 2;
-  req.ex.shards = 2;
-  req.ex.tune = "fixed";
-  const auto fixed = micg::api::run(g, req);
-  req.ex.tune = "auto";
-  const auto tuned = micg::api::run(g, req);
-  EXPECT_EQ(tuned.num_levels, fixed.num_levels);
-  EXPECT_EQ(tuned.reached, fixed.reached);
-  EXPECT_EQ(tuned.target_levels, fixed.target_levels);
 }
 
 TEST_F(TuneInvariance, TunedChunkNeverChangesAnswers) {

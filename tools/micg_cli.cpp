@@ -3,7 +3,7 @@
 //   micg gen <family> [options] -o FILE     generate a graph
 //   micg convert IN OUT                     convert between .mtx and .micg
 //   micg info FILE                          structural statistics
-//   micg color FILE [--threads N] [--backend NAME] [--chunk C] [--d2]
+//   micg color FILE [--threads N] [--backend NAME] [--chunk C] [--d2 yes]
 //   micg bfs FILE [--source V] [--variant NAME] [--threads N] [--block B]
 //   micg msbfs FILE [--sources K] [--lanes L] [--threads N]
 //   micg bc FILE [--samples K] [--threads N] [--top M] [--mode M] [--lanes L]
@@ -69,21 +69,19 @@ using micg::graph::csr_graph;
       "                | grid2d NX NY | er N AVGDEG SEED\n"
       "                | rmat SCALE EDGEFACTOR SEED | suite NAME SCALE\n"
       "  micg convert IN OUT\n"
-      "  micg info FILE [--shards N]\n"
-      "  micg color FILE [--threads N] [--backend NAME] [--chunk C] [--d2]\n"
+      "  micg info FILE\n"
+      "  micg color FILE [--threads N] [--backend NAME] [--chunk C]\n"
+      "          [--d2 yes]\n"
       "  micg bfs FILE [--source V] [--variant NAME] [--threads N] [--block B]\n"
-      "          [--shards N]\n"
       "  micg msbfs FILE [--sources K] [--lanes L] [--threads N]\n"
       "  micg bc FILE [--samples K] [--threads N] [--top M]\n"
       "          [--mode batched|repeated] [--lanes L]\n"
       "  micg pagerank FILE [--damping D] [--tolerance T] [--iterations N]\n"
-      "          [--top M] [--threads N] [--shards N]\n"
+      "          [--top M] [--threads N]\n"
       "  micg sssp FILE [--source V] [--delta D] [--weights SEED]\n"
       "          [--max-weight W] [--threads N]\n"
       "  micg cc FILE [--threads N] [--backend NAME] [--chunk C]\n"
-      "  micg calibrate [-o FILE] [--threads N] [--runs R] [--quick]\n"
-      "bfs/pagerank: --shards N > 1 partitions the graph and runs the\n"
-      "  bulk-synchronous sharded driver, N thread pools of --threads each\n"
+      "  micg calibrate [-o FILE] [--threads N] [--runs R] [--quick yes]\n"
       "bfs/msbfs/bc/color/pagerank/sssp: --tune fixed|auto|calibrate picks\n"
       "  memory/frontier/chunk knobs from a host profile ($MICG_CALIB, or\n"
       "  `micg calibrate -o`) + a graph probe; answers are bit-identical\n"
@@ -247,23 +245,6 @@ int cmd_info(const arg_parser& args) {
   t.row({"BFS levels from |V|/2",
          micg::table_printer::fmt(
              static_cast<long long>(r.bfs_levels_from_mid))});
-  // Shard partition report, only when a partition was requested (the
-  // default single-shard run keeps the historical table shape).
-  if (r.shards > 1) {
-    t.row({"shards", micg::table_printer::fmt(
-                         static_cast<long long>(r.shards))});
-    for (std::size_t s = 0; s < r.shard_vertices.size(); ++s) {
-      t.row({"shard " + std::to_string(s) + " |V| / adj",
-             micg::table_printer::fmt(
-                 static_cast<long long>(r.shard_vertices[s])) +
-                 " / " +
-                 micg::table_printer::fmt(
-                     static_cast<long long>(r.shard_edges[s]))});
-    }
-    t.row({"cut edges", micg::table_printer::fmt(
-                            static_cast<long long>(r.cut_edges))});
-    t.row({"cut fraction", micg::table_printer::fmt(r.cut_fraction)});
-  }
   t.print(std::cout);
   return 0;
 }

@@ -7,16 +7,10 @@
 # (bench/serve_latency, p50/p99 per arrival rate with and without a
 # mutating writer) lands in a second document next to the baseline.
 #
-# Also reproduces BENCH_shard.json: the shard-scaling series
-# (bench/fig_shard, measured 1/2/4/8-shard speedups plus the multi-socket
-# model projection) lands in a third document. It gets its own larger
-# scale (MICG_SHARD_SCALE) because on smoke-sized graphs the barrier term
-# dominates everything the series is meant to show.
-#
 # Also reproduces BENCH_coalesce.json: the query-coalescing series
 # (bench/serve_qps, achieved throughput and tail latency with the
 # coalescing window off vs on, clustered vs adversarial request mixes)
-# lands in a fourth document.
+# lands in a third document.
 #
 # Also reproduces BENCH_tune.json: the predicted-vs-measured auto-tuning
 # sweep (bench/ablate_tune, the knob picker's choice against the true
@@ -32,8 +26,8 @@
 # configuration diverged from the oracle.
 #
 # Usage: tools/run_bench.sh [output.json] [serve_output.json] \
-#                           [shard_output.json] [coalesce_output.json] \
-#                           [tune_output.json] [sssp_output.json]
+#                           [coalesce_output.json] [tune_output.json] \
+#                           [sssp_output.json]
 #   BUILD_DIR              build tree holding bench/ (default: build)
 #   MICG_SCALE             model-series graph scale       (default: 0.05)
 #   MICG_MEASURED_SCALE    measured-series graph scale    (default: 0.05)
@@ -57,10 +51,9 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 OUT=${1:-BENCH_baseline.json}
 SERVE_OUT=${2:-BENCH_serve.json}
-SHARD_OUT=${3:-BENCH_shard.json}
-COALESCE_OUT=${4:-BENCH_coalesce.json}
-TUNE_OUT=${5:-BENCH_tune.json}
-SSSP_OUT=${6:-BENCH_sssp.json}
+COALESCE_OUT=${3:-BENCH_coalesce.json}
+TUNE_OUT=${4:-BENCH_tune.json}
+SSSP_OUT=${5:-BENCH_sssp.json}
 
 if [ ! -x "$BUILD_DIR/bench/ablate_memlat" ]; then
   echo "error: $BUILD_DIR/bench/ablate_memlat not found — build with" >&2
@@ -74,7 +67,6 @@ export MICG_MEASURED_THREADS=${MICG_MEASURED_THREADS:-$(nproc)}
 export MICG_RUNS=${MICG_RUNS:-4}
 MICG_MEMLAT_SCALE=${MICG_MEMLAT_SCALE:-8.0}
 MICG_MEMLAT_THREADS=${MICG_MEMLAT_THREADS:-1,2,4,8}
-MICG_SHARD_SCALE=${MICG_SHARD_SCALE:-0.5}
 MICG_TUNE_SCALE=${MICG_TUNE_SCALE:-8.0}
 MICG_SSSP_SCALE=${MICG_SSSP_SCALE:-0.5}
 
@@ -124,39 +116,6 @@ best_ms = max(r["values"]["msbfs.throughput_speedup"] for r in msbfs)
 print(f"wrote {out}: {len(records)} records "
       f"({len(memlat)} memlat, best fast-path speedup {best:.2f}x, "
       f"best msbfs throughput {best_ms:.2f}x)")
-EOF
-
-MICG_MEASURED_SCALE="$MICG_SHARD_SCALE" \
-  "$BUILD_DIR/bench/fig_shard" --metrics-json "$SHARD_OUT"
-
-python3 - "$SHARD_OUT" <<'EOF'
-import json
-import sys
-
-path = sys.argv[1]
-with open(path) as f:
-    doc = json.load(f)
-assert doc["schema"] == "micg.metrics.v1", doc.get("schema")
-records = doc["records"]
-assert records, "fig_shard emitted no records"
-shard_counts = set()
-for r in records:
-    assert r["meta"]["bench"] == "fig_shard", r["meta"]
-    shard_counts.add(int(r["meta"]["shards"]))
-    v = r["values"]
-    assert v["shard.count"] == int(r["meta"]["shards"]), (r["meta"], v)
-    assert v["shard.bfs_secs"] > 0 and v["shard.pagerank_secs"] > 0, v
-    assert v["shard.bfs_speedup_vs_1shard"] > 0, v
-    assert v["shard.model_bfs_speedup"] > 0, v
-    assert 0 <= v["shard.cut_fraction"] <= 1, v
-    if int(r["meta"]["shards"]) == 1:
-        assert v["shard.cut_fraction"] == 0, v
-    else:
-        assert r["counters"]["shard.exchange.messages"] > 0, r["counters"]
-assert shard_counts == {1, 2, 4, 8}, shard_counts
-best = max(r["values"]["shard.model_bfs_speedup"] for r in records)
-print(f"wrote {path}: {len(records)} shard records over "
-      f"{sorted(shard_counts)} shards (best modeled BFS speedup {best:.2f}x)")
 EOF
 
 "$BUILD_DIR/bench/serve_latency" --metrics-json "$SERVE_OUT"
@@ -266,8 +225,8 @@ print(f"wrote {path}: {len(records)} tune records; tuned matched/beat "
       f"default on {wins}/{len(summaries)} pairs (best {best:.2f}x)")
 EOF
 
-# Weighted workloads at the shard scale (smoke-sized graphs finish before
-# the bucket structure the delta dial measures can form). The bench exits
+# Weighted workloads at their own larger scale (smoke-sized graphs finish
+# before the bucket structure the delta dial measures can form). The bench exits
 # non-zero by itself if any timed run diverges from the Dijkstra oracle;
 # the validator re-checks that from the emitted records.
 MICG_MEASURED_SCALE="$MICG_SSSP_SCALE" \
@@ -304,7 +263,7 @@ print(f"wrote {path}: {len(records)} sssp records over {len(graphs)} "
 EOF
 
 # Stamp the calibrated host profile into every document emitted above.
-python3 - "$CALIB" "$OUT" "$SERVE_OUT" "$SHARD_OUT" "$COALESCE_OUT" \
+python3 - "$CALIB" "$OUT" "$SERVE_OUT" "$COALESCE_OUT" \
     "$TUNE_OUT" "$SSSP_OUT" <<'EOF'
 import json
 import sys
