@@ -1,12 +1,13 @@
 // Ablation: memory-hierarchy fast paths — SIMD gather x software-prefetch
-// distance x loop partitioning for the irregular kernels, and the bitmap
-// bottom-up frontier for direction-optimizing BFS. The paper's KNF card is
-// an in-order machine whose gather loops stall on every cache miss (§III-B);
-// these are the knobs that hide or remove that latency. Every knob
+// distance x loop partitioning for the irregular kernels, and the
+// partitioning of direction-optimizing BFS's bitmap bottom-up steps. The
+// paper's KNF card is an in-order machine whose gather loops stall on
+// every cache miss (§III-B); these are the knobs that hide or remove that
+// latency. Every knob
 // configuration computes bit-identical results (tested), so the sweep
 // measures memory behavior only. The speedup column is baseline time /
 // config time, where the baseline row runs the pre-optimization kernel
-// (seed spmv/pagerank, queue-frontier BFS).
+// (seed spmv/pagerank, vertex-partitioned bottom-up BFS).
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -233,22 +234,19 @@ int main(int argc, char** argv) {
   {
     micg::graph::vertex_t src = 0;
     while (g.degree(src) == 0) ++src;
-    table_printer t("direction bfs: frontier representation x partition");
+    table_printer t("direction bfs: bottom-up partition");
     t.header({"config", "ms", "speedup"});
     struct bfs_config {
       std::string name;
-      bool bitmap;
       partition_mode part;
     };
     const bfs_config bfs_cfgs[] = {
-        {"queue", false, partition_mode::vertex},
-        {"bitmap/vertex", true, partition_mode::vertex},
-        {"bitmap/edge", true, partition_mode::edge},
+        {"bitmap/vertex", partition_mode::vertex},
+        {"bitmap/edge", partition_mode::edge},
     };
     const auto run_once = [&](const bfs_config& c) {
       micg::bfs::direction_options opt;
       opt.ex.threads = threads;
-      opt.bitmap = c.bitmap;
       opt.partition = c.part;
       micg::bfs::direction_optimizing_bfs(g, src, opt);
     };

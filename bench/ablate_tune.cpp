@@ -3,7 +3,7 @@
 //
 // For each (graph shape, kernel) pair this bench times the *true* knob
 // grid the kernels can execute — the memory fast-path combinations, the
-// chunk ladder, the BFS frontier representations — alongside the static
+// chunk ladder, layered vs direction-optimizing BFS — alongside the static
 // default and the picker's choice for this host ($MICG_CALIB or the
 // builtin profile). The summary row per pair reports the tuned pick, the
 // empirical best, the tuned-vs-default speedup and the regret vs best.
@@ -211,23 +211,19 @@ int main(int argc, char** argv) {
         opt.alpha = alpha;
         micg::bfs::direction_optimizing_bfs(g, src, opt);
       };
+      // The default is direction-optimizing BFS (api::run's default); the
+      // tuner only picks its chunk.
       std::vector<timed_config> cfgs;
-      cfgs.push_back({"queue/default", [&run_queue] { run_queue(64); }});
-      if (plan.bfs_direction) {
-        cfgs.push_back({"tuned", [&run_dir, &plan] {
-                          run_dir(plan.bfs_partition, plan.bfs_alpha,
-                                  plan.chunk > 0 ? plan.chunk : 64);
-                        }});
-      } else {
-        cfgs.push_back({"tuned", [&run_queue, &plan] {
-                          run_queue(plan.chunk > 0 ? plan.chunk : 64);
-                        }});
-      }
+      cfgs.push_back({"dir/default", [&run_dir] {
+                        run_dir(partition_mode::edge, 14.0, 64);
+                      }});
+      cfgs.push_back({"tuned", [&run_dir, &plan] {
+                        run_dir(partition_mode::edge, 14.0,
+                                plan.chunk > 0 ? plan.chunk : 64);
+                      }});
+      cfgs.push_back({"queue", [&run_queue] { run_queue(64); }});
       cfgs.push_back({"dir/vertex", [&run_dir] {
                         run_dir(partition_mode::vertex, 14.0, 64);
-                      }});
-      cfgs.push_back({"dir/edge", [&run_dir] {
-                        run_dir(partition_mode::edge, 14.0, 64);
                       }});
       cfgs.push_back({"dir/edge/alpha8", [&run_dir] {
                         run_dir(partition_mode::edge, 8.0, 64);

@@ -190,55 +190,33 @@ int main(int argc, char** argv) {
   micg::benchkit::print_figure("Fig 4 (measured on this host, pwtk+inline_1)", mgrid,
                measured);
 
-  // Measured: direction-optimizing BFS, bitmap word-scan frontier versus
-  // the queue path (and the partitioning of the bitmap's bottom-up steps),
-  // selected by --memopt. Levels are identical; only the frontier
-  // representation and load balance change.
-  struct dir_variant {
-    const char* name;
-    bool bitmap;
-    micg::rt::partition_mode partition;
-  };
-  std::vector<dir_variant> dir_variants;
-  if (cfg.run_fast()) {
-    dir_variants.push_back(
-        {"bitmap/edge", true, micg::rt::partition_mode::edge});
-  }
-  if (cfg.run_scalar()) {
-    dir_variants.push_back(
-        {"queue", false, micg::rt::partition_mode::vertex});
-  }
-  std::vector<series> dir_measured;
-  for (const auto& v : dir_variants) {
-    std::vector<std::vector<double>> per_graph;
-    for (const char* name : {"pwtk", "inline_1"}) {
-      const auto& g = micg::benchkit::suite_graph(name, mscale);
-      const auto source = g.num_vertices() / 2;
-      std::vector<double> curve;
-      double t1 = 0.0;
-      for (int t : mgrid) {
-        micg::bfs::direction_options opt;
-        opt.ex.threads = t;
-        opt.block = kBlock;
-        opt.bitmap = v.bitmap;
-        opt.partition = v.partition;
-        const double secs = micg::benchkit::time_stable(
-            [&] { micg::bfs::direction_optimizing_bfs(g, source, opt); },
-            runs);
-        if (t == mgrid.front()) t1 = secs;
-        curve.push_back(t1 / secs);
-      }
-      per_graph.push_back(std::move(curve));
+  // Measured: direction-optimizing BFS (api::run's default BFS) over the
+  // same baseline grid. Levels are identical to every variant above.
+  std::vector<std::vector<double>> dir_per_graph;
+  for (const char* name : {"pwtk", "inline_1"}) {
+    const auto& g = micg::benchkit::suite_graph(name, mscale);
+    const auto source = g.num_vertices() / 2;
+    std::vector<double> curve;
+    double t1 = 0.0;
+    for (int t : mgrid) {
+      micg::bfs::direction_options opt;
+      opt.ex.threads = t;
+      opt.block = kBlock;
+      const double secs = micg::benchkit::time_stable(
+          [&] { micg::bfs::direction_optimizing_bfs(g, source, opt); },
+          runs);
+      if (t == mgrid.front()) t1 = secs;
+      curve.push_back(t1 / secs);
     }
-    dir_measured.push_back(
-        micg::benchkit::geomean_series(v.name, per_graph));
+    dir_per_graph.push_back(std::move(curve));
   }
   micg::benchkit::print_figure(
-      "Fig 4 extra (measured direction-optimizing BFS, frontier paths)",
-      mgrid, dir_measured);
+      "Fig 4 extra (measured direction-optimizing BFS)", mgrid,
+      {micg::benchkit::geomean_series(micg::bfs::direction_bfs_name,
+                                      dir_per_graph)});
 
-  // Structured metrics: one instrumented run per BFS variant, plus the
-  // direction-optimizing frontier paths.
+  // Structured metrics: one instrumented run per BFS variant, plus
+  // direction-optimizing BFS.
   micg::benchkit::metrics_sink sink(cfg.metrics_json);
   if (sink.enabled()) {
     const auto& g = micg::benchkit::suite_graph("pwtk", mscale);
@@ -255,20 +233,15 @@ int main(int argc, char** argv) {
            {"threads", std::to_string(mgrid.back())}},
           [&] { micg::bfs::parallel_bfs(g, source, opt); });
     }
-    for (const auto& v : dir_variants) {
-      micg::bfs::direction_options opt;
-      opt.ex.threads = mgrid.back();
-      opt.block = kBlock;
-      opt.bitmap = v.bitmap;
-      opt.partition = v.partition;
-      micg::benchkit::record_run(
-          sink,
-          {{"bench", "fig4_bfs"},
-           {"graph", "pwtk"},
-           {"frontier", v.name},
-           {"threads", std::to_string(mgrid.back())}},
-          [&] { micg::bfs::direction_optimizing_bfs(g, source, opt); });
-    }
+    micg::bfs::direction_options opt;
+    opt.ex.threads = mgrid.back();
+    opt.block = kBlock;
+    micg::benchkit::record_run(
+        sink,
+        {{"bench", "fig4_bfs"},
+         {"graph", "pwtk"},
+         {"threads", std::to_string(mgrid.back())}},
+        [&] { micg::bfs::direction_optimizing_bfs(g, source, opt); });
   }
 
   std::cout << "[fig4_bfs] done in "

@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <span>
-#include <utility>
 
 #include "micg/bfs/centrality.hpp"
 #include "micg/bfs/layered.hpp"
@@ -173,7 +172,8 @@ bfs_response run(const graph::any_csr& g, const bfs_request& req,
   MICG_CHECK(req.block >= 1 && req.block <= (1 << 20),
              "block must be in [1, 2^20]");
   opt.block = static_cast<int>(req.block);
-  opt.variant = micg::bfs::bfs_variant_from_name(req.variant);
+  const bool direction = req.variant == micg::bfs::direction_bfs_name;
+  if (!direction) opt.variant = micg::bfs::bfs_variant_from_name(req.variant);
   const std::int64_t n = g.num_vertices();
   const std::int64_t source = req.source < 0 ? n / 2 : req.source;
   MICG_CHECK(n > 0, "bfs on an empty graph");
@@ -181,10 +181,10 @@ bfs_response run(const graph::any_csr& g, const bfs_request& req,
   for (const auto t : req.targets) {
     MICG_CHECK(t >= 0 && t < n, "target vertex out of range");
   }
+  r.variant = req.variant;
   r.source = source;
   r.num_vertices = n;
-  const auto record = [&](const auto& res, std::string variant) {
-    r.variant = std::move(variant);
+  const auto record = [&](const auto& res) {
     r.num_levels = res.num_levels;
     r.reached = static_cast<std::int64_t>(res.reached);
     for (const auto t : req.targets) {
@@ -195,30 +195,21 @@ bfs_response run(const graph::any_csr& g, const bfs_request& req,
   const tuned_plan tp(g, req.ex, ctx, opt.ex.sink());
   if (const tune::knob_plan* plan = tp.get(); plan != nullptr) {
     if (plan->chunk > 0) opt.ex.chunk = plan->chunk;
-    if (plan->bfs_direction) {
-      // The tuner predicts wide, collapsing frontiers: run the
-      // direction-optimizing bitmap traversal instead of the requested
-      // queue variant. Levels are identical to every variant (tested),
-      // so this swap can never change target_levels/reached.
-      micg::bfs::direction_options dopt;
-      dopt.ex = opt.ex;
-      dopt.block = opt.block;
-      dopt.alpha = plan->bfs_alpha;
-      dopt.beta = plan->bfs_beta;
-      dopt.bitmap = plan->bfs_bitmap;
-      dopt.partition = plan->bfs_partition;
-      return g.visit([&](const auto& cg) {
-        using VId = typename std::decay_t<decltype(cg)>::vertex_type;
-        return record(micg::bfs::direction_optimizing_bfs(
-                          cg, static_cast<VId>(source), dopt),
-                      "Direction-optimizing");
-      });
-    }
+  }
+  if (direction) {
+    micg::bfs::direction_options dopt;
+    dopt.ex = opt.ex;
+    dopt.block = opt.block;
+    return g.visit([&](const auto& cg) {
+      using VId = typename std::decay_t<decltype(cg)>::vertex_type;
+      return record(micg::bfs::direction_optimizing_bfs(
+          cg, static_cast<VId>(source), dopt));
+    });
   }
   return g.visit([&](const auto& cg) {
     using VId = typename std::decay_t<decltype(cg)>::vertex_type;
-    return record(micg::bfs::parallel_bfs(cg, static_cast<VId>(source), opt),
-                  micg::bfs::bfs_variant_name(opt.variant));
+    return record(
+        micg::bfs::parallel_bfs(cg, static_cast<VId>(source), opt));
   });
 }
 

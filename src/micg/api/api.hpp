@@ -33,6 +33,7 @@
 #include "micg/api/fields.hpp"
 #include "micg/api/json.hpp"
 #include "micg/api/parse.hpp"
+#include "micg/bfs/direction.hpp"
 #include "micg/graph/any_csr.hpp"
 #include "micg/rt/exec.hpp"
 
@@ -191,7 +192,9 @@ info_response run(const graph::any_csr& g, const info_request& req,
 
 struct bfs_request {
   exec_params ex;
-  std::string variant = "OpenMP-Block-relaxed";
+  /// Direction-optimizing BFS by default; the six paper names
+  /// ("OpenMP-Block-relaxed", ...) select layered BFS (Fig 4).
+  std::string variant = micg::bfs::direction_bfs_name;
   /// Source vertex; negative selects the |V|/2 default the CLI has always
   /// used.
   std::int64_t source = -1;

@@ -6,6 +6,7 @@
 
 #include "micg/bfs/bag.hpp"
 #include "micg/bfs/block_queue.hpp"
+#include "micg/bfs/level_step.hpp"
 #include "micg/bfs/tls_queue.hpp"
 #include "micg/obs/obs.hpp"
 #include "micg/rt/exec.hpp"
@@ -13,8 +14,6 @@
 #include "micg/support/assert.hpp"
 
 namespace micg::bfs {
-
-using micg::graph::invalid_vertex_v;
 
 const char* bfs_variant_name(bfs_variant v) {
   switch (v) {
@@ -44,51 +43,8 @@ bfs_variant bfs_variant_from_name(const std::string& name) {
 
 namespace {
 
-using level_array = std::vector<std::atomic<int>>;
-
-/// Try to claim w for `next_level`. Locked: check, then CAS — exactly
-/// once. Relaxed: Leiserson–Schardl benign race — check then plain store.
-template <class VId>
-inline bool claim_vertex(level_array& level, VId w, int next_level,
-                         bool relaxed) {
-  auto& slot = level[static_cast<std::size_t>(w)];
-  if (relaxed) {
-    if (slot.load(std::memory_order_relaxed) == -1) {
-      slot.store(next_level, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-  // Testing before locking (§IV-C) makes a visited vertex cost a load
-  // instead of a CAS on a line other workers are reading.
-  int expected = -1;
-  return slot.load(std::memory_order_relaxed) == -1 &&
-         slot.compare_exchange_strong(expected, next_level,
-                                      std::memory_order_relaxed,
-                                      std::memory_order_relaxed);
-}
-
-/// Derive the final result (frontier sizes, counts) from the level array.
-/// Uniform across variants; also the place where relaxed duplicates vanish
-/// (levels are unique even if queue entries were not).
-parallel_bfs_result finalize(const level_array& level) {
-  parallel_bfs_result r;
-  r.level.resize(level.size());
-  int max_level = -1;
-  for (std::size_t v = 0; v < level.size(); ++v) {
-    r.level[v] = level[v].load(std::memory_order_relaxed);
-    if (r.level[v] > max_level) max_level = r.level[v];
-  }
-  r.num_levels = max_level + 1;
-  r.frontier_sizes.assign(static_cast<std::size_t>(r.num_levels), 0);
-  for (int lv : r.level) {
-    if (lv >= 0) {
-      ++r.frontier_sizes[static_cast<std::size_t>(lv)];
-      ++r.reached;
-    }
-  }
-  return r;
-}
+using detail::claim_vertex;
+using detail::level_array;
 
 /// The block-queue variants: two block-accessed queues swapped per level,
 /// the vertex loop scheduled by an OpenMP-dynamic or TBB-simple backend.
@@ -101,16 +57,8 @@ parallel_bfs_result bfs_block(const G& g, typename G::vertex_type source,
   level_array level(static_cast<std::size_t>(n));
   for (auto& l : level) l.store(-1, std::memory_order_relaxed);
 
-  // Capacity: every vertex once, plus sentinel padding (one partial block
-  // per worker per level is repacked on reset, so `threads * block`
-  // suffices), plus generous headroom for relaxed duplicates. The queue
-  // checks the bound; overflow would require a duplicate storm the benign
-  // race cannot produce in practice.
   const std::size_t cap =
-      2 * static_cast<std::size_t>(n) +
-      static_cast<std::size_t>(opt.ex.threads) *
-          static_cast<std::size_t>(opt.block) +
-      64;
+      detail::level_queue_capacity(n, opt.ex.threads, opt.block);
   basic_block_queue<VId> cur(cap, opt.block, opt.ex.threads);
   basic_block_queue<VId> next(cap, opt.block, opt.ex.threads);
 
@@ -137,27 +85,13 @@ parallel_bfs_result bfs_block(const G& g, typename G::vertex_type source,
     level_span.value(
         "queue_slots",
         static_cast<double>(partial.queue_slots_per_level.back()));
-    next.reset();
-    const auto entries = cur.raw();
-    rt::for_range(
-        ex, static_cast<std::int64_t>(entries.size()),
-        [&](std::int64_t b, std::int64_t e, int worker) {
-          for (std::int64_t i = b; i < e; ++i) {
-            const VId v = entries[static_cast<std::size_t>(i)];
-            if (v == invalid_vertex_v<VId>) continue;  // sentinel (§IV-C)
-            for (VId w : g.neighbors(v)) {
-              if (claim_vertex(level, w, depth, relaxed)) {
-                next.push(worker, w);
-              }
-            }
-          }
-        });
-    next.flush_all();
+    detail::top_down_step(ex, g, level, cur, next, depth, relaxed,
+                          [](int, VId) {});
     cur.swap(next);
     ++depth;
   }
 
-  auto r = finalize(level);
+  auto r = detail::finalize_levels<parallel_bfs_result>(level);
   r.queue_slots_per_level = std::move(partial.queue_slots_per_level);
   return r;
 }
@@ -211,7 +145,7 @@ parallel_bfs_result bfs_tls(const G& g, typename G::vertex_type source,
     cur.swap(next);
     ++depth;
   }
-  return finalize(level);
+  return detail::finalize_levels<parallel_bfs_result>(level);
 }
 
 /// Bag variant: per-worker bags filled under work stealing, merged with
@@ -260,7 +194,7 @@ parallel_bfs_result bfs_bag(const G& g, typename G::vertex_type source,
     cur = std::move(merged);
     ++depth;
   }
-  return finalize(level);
+  return detail::finalize_levels<parallel_bfs_result>(level);
 }
 
 template <micg::graph::CsrGraph G>

@@ -26,15 +26,6 @@ constexpr double kEdgeBalanceSkew = 4.0;
 /// Hub mass (top-64 edge fraction) that forces edge balancing even at
 /// modest skew.
 constexpr double kEdgeBalanceHubMass = 0.10;
-/// Branching factor past which frontiers plausibly go wide enough for
-/// the bitmap/direction-optimizing representation to win.
-constexpr double kDirectionMinAvgDegree = 8.0;
-/// ...and the skew that makes the middle levels collapse (RMAT-like).
-constexpr double kDirectionMinSkew = 8.0;
-/// Hub mass past which the bottom-up switch should fire earlier
-/// (alpha 8 instead of Beamer's 14) — a hub joins the frontier almost
-/// immediately and drags most edges with it.
-constexpr double kEarlySwitchHubMass = 0.40;
 /// Scheduling overhead target: one chunk claim per >= 100x its cost of
 /// useful work (<= 1% overhead).
 constexpr double kClaimAmortization = 100.0;
@@ -124,20 +115,6 @@ knob_plan pick_knobs(const calibration_profile& prof,
   why << "; skew=" << st.skew() << " hubs=" << st.hub_edge_fraction << " -> "
       << rt::partition_mode_name(plan.mem.partition);
 
-  // --- BFS frontier: the direction-optimizing bitmap path wins when the
-  // expansion is wide (high branching factor) and the middle levels
-  // collapse (high skew) — RMAT-shaped inputs. Narrow/mesh frontiers
-  // keep the queue variants. Either choice yields identical levels.
-  plan.bfs_direction = st.avg_degree >= kDirectionMinAvgDegree &&
-                       st.skew() >= kDirectionMinSkew;
-  plan.bfs_bitmap = true;
-  plan.bfs_partition = plan.mem.partition;
-  plan.bfs_alpha =
-      st.hub_edge_fraction >= kEarlySwitchHubMass ? 8.0 : 14.0;
-  plan.bfs_beta = 24.0;
-  why << "; avg_deg=" << st.avg_degree << " -> "
-      << (plan.bfs_direction ? "direction" : "queue");
-
   // --- layout: the narrowest-fit rule, restated from the stats so the
   // serving layer can flag snapshots stored wider than needed.
   plan.layout = graph::select_layout(st.num_vertices, st.num_directed_edges);
@@ -160,7 +137,7 @@ std::string knobs_summary(const knob_plan& plan) {
   out << rt::partition_mode_name(plan.mem.partition) << "/pf"
       << plan.mem.prefetch_distance << "/"
       << (plan.mem.simd ? "simd" : "scalar") << "/chunk"
-      << plan.chunk << (plan.bfs_direction ? "/dir" : "/queue");
+      << plan.chunk;
   return out.str();
 }
 

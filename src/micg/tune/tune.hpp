@@ -6,15 +6,14 @@
 // distribution, how wide do frontiers get?). It runs a small roofline
 // cost model over the configurations the kernels can actually execute
 // and emits a knob_plan: the rt::mem_opts for the irregular kernels, the
-// frontier representation and direction-switch thresholds for BFS, the
-// loop partitioning, the storage layout, and a chunk size.
+// loop partitioning, the storage layout, and a chunk size. BFS takes only
+// the chunk: direction-optimizing BFS decides its direction itself.
 //
 // Every knob it sets is *output-invariant by construction*: SIMD /
 // prefetch / partitioning are bit-identical fast paths (tested since
-// their PRs), every BFS variant produces the same levels, and chunk only
-// moves scheduling boundaries. `--tune auto` can therefore never change
-// an answer, only its speed — the property tests in tests/tune_test.cpp
-// pin this across layouts and kernels.
+// their PRs), and chunk only moves scheduling boundaries. `--tune auto`
+// can therefore never change an answer, only its speed — the property
+// tests in tests/tune_test.cpp pin this across layouts and kernels.
 //
 // Modes (CLI --tune, wire field "tune", env MICG_TUNE):
 //   fixed     — knobs come from the request / compiled defaults (the
@@ -55,18 +54,10 @@ tune_mode resolve_tune_mode(const std::string& request_field);
 /// The configuration the picker chose. Fields the caller should leave
 /// alone are encoded as "keep" values (chunk == 0).
 struct knob_plan {
-  /// Memory fast-path knobs for the irregular kernels and bottom-up BFS.
+  /// Memory fast-path knobs for the irregular kernels.
   rt::mem_opts mem{};
   /// Scheduling grain for dynamic backends; 0 = keep the request's chunk.
   std::int64_t chunk = 0;
-
-  // --- BFS frontier shape -------------------------------------------------
-  /// Run direction-optimizing (bitmap) BFS instead of the queue variant.
-  bool bfs_direction = false;
-  bool bfs_bitmap = true;
-  rt::partition_mode bfs_partition = rt::partition_mode::edge;
-  double bfs_alpha = 14.0;
-  double bfs_beta = 24.0;
 
   /// Narrowest storage layout that fits the graph (select_layout rule).
   /// Advisory: run() cannot re-lay-out a loaded graph, but the serve
@@ -83,7 +74,7 @@ struct knob_plan {
 knob_plan pick_knobs(const calibration_profile& prof,
                      const graph::graph_stats& st);
 
-/// Compact knob summary for metrics tags ("edge/pf0/simd/chunk128/dir").
+/// Compact knob summary for metrics tags ("edge/pf0/simd/chunk128").
 std::string knobs_summary(const knob_plan& plan);
 
 /// Default delta-stepping bucket width for a graph: max_weight divided by

@@ -16,7 +16,10 @@
 #include "micg/api/api.hpp"
 #include "micg/api/json.hpp"
 #include "micg/api/parse.hpp"
+#include "micg/bfs/seq.hpp"
+#include "micg/graph/any_csr.hpp"
 #include "micg/graph/generators.hpp"
+#include "micg/obs/obs.hpp"
 #include "micg/support/assert.hpp"
 
 namespace {
@@ -27,6 +30,7 @@ using micg::api::from_json;
 using micg::api::json;
 using micg::api::json_array;
 using micg::api::json_object;
+using micg::graph::vertex_t;
 
 micg::graph::any_csr grid() {
   return micg::graph::to_narrowest(micg::graph::make_grid_2d(8, 8));
@@ -256,7 +260,7 @@ TEST(ApiRequest, DefaultsMatchHistoricalCli) {
   const arg_parser empty(std::vector<std::string>{});
   const auto bfs = from_args<micg::api::bfs_request>(empty);
   EXPECT_EQ(bfs.ex.threads, 4);
-  EXPECT_EQ(bfs.variant, "OpenMP-Block-relaxed");
+  EXPECT_EQ(bfs.variant, "Direction-optimizing");
   EXPECT_EQ(bfs.block, 32);
   EXPECT_EQ(bfs.source, -1);  // resolves to |V|/2 at run()
   const auto color = from_args<micg::api::color_request>(empty);
@@ -404,6 +408,53 @@ TEST(ApiRun, BfsDefaultsAndTargets) {
   EXPECT_EQ(r.reached, 64);
   ASSERT_EQ(r.target_levels.size(), 2u);
   EXPECT_GE(r.target_levels[0], 0);
+}
+
+// The default variant is direction-optimizing BFS. Its answers must equal
+// seq_bfs on a mesh, where it never leaves top-down, and on RMAT, where
+// the frontier's edge count sends it bottom-up.
+TEST(ApiRun, DefaultBfsMatchesSequentialOnEveryLayout) {
+  struct Case {
+    const char* name;
+    micg::graph::csr_graph g;
+    bool goes_bottom_up;
+  };
+  const Case cases[] = {
+      {"grid", micg::graph::make_grid_2d(40, 40), false},
+      {"rmat", micg::graph::make_rmat(12, 16, 0.57, 0.19, 0.19, 3), true},
+  };
+  for (const auto& c : cases) {
+    const std::int64_t n = c.g.num_vertices();
+    const auto seq = micg::bfs::seq_bfs(c.g, static_cast<vertex_t>(n / 2));
+    std::vector<std::int64_t> seq_levels(seq.level.begin(), seq.level.end());
+    for (const auto layout :
+         {micg::graph::csr_layout::v32e32, micg::graph::csr_layout::v32e64,
+          micg::graph::csr_layout::v64e64}) {
+      const auto g =
+          micg::graph::to_layout(micg::graph::any_csr(c.g), layout);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(c.name) + "/" +
+                     micg::graph::layout_name(layout) +
+                     " threads=" + std::to_string(threads));
+        micg::obs::recorder rec;
+        micg::api::run_context ctx;
+        ctx.rec = &rec;
+        micg::api::bfs_request req;
+        req.ex.threads = threads;
+        for (std::int64_t v = 0; v < n; ++v) req.targets.push_back(v);
+        const auto r = micg::api::run(g, req, ctx);
+        EXPECT_EQ(r.variant, "Direction-optimizing");
+        EXPECT_EQ(r.num_levels, seq.num_levels);
+        EXPECT_EQ(r.reached, static_cast<std::int64_t>(seq.reached));
+        EXPECT_EQ(r.target_levels, seq_levels);
+        std::uint64_t bottom_up_steps = 0;
+        for (const auto& [name, value] : rec.take().counters) {
+          if (name == "bfs.bottom_up_steps") bottom_up_steps = value;
+        }
+        EXPECT_EQ(bottom_up_steps > 0, c.goes_bottom_up);
+      }
+    }
+  }
 }
 
 TEST(ApiRun, BfsValidatesInput) {

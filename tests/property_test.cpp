@@ -23,6 +23,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "micg/bfs/direction.hpp"
@@ -31,6 +32,7 @@
 #include "micg/bfs/msbfs.hpp"
 #include "micg/bfs/seq.hpp"
 #include "micg/bfs/sssp.hpp"
+#include "micg/bfs/validate.hpp"
 #include "micg/graph/components.hpp"
 #include "micg/graph/weighted.hpp"
 #include "micg/color/greedy.hpp"
@@ -141,16 +143,20 @@ TEST_F(PropertySweep, ParallelBfsVariantsMatchSeq) {
           EXPECT_EQ(r.num_levels, ref.num_levels);
           EXPECT_EQ(r.reached, ref.reached);
         }
-        for (const bool bitmap : {true, false}) {
-          SCOPED_TRACE(std::string("variant=direction bitmap=") +
-                       (bitmap ? "on" : "off") +
+        // Beamer's thresholds, then an early switch that bounces back.
+        for (const auto [alpha, beta] : {std::pair{14.0, 24.0},
+                                         std::pair{100.0, 2.0}}) {
+          SCOPED_TRACE("variant=direction alpha=" + std::to_string(alpha) +
                        " source=" + std::to_string(source));
           micg::bfs::direction_options opt;
           opt.ex.threads = 4;
-          opt.bitmap = bitmap;
+          opt.alpha = alpha;
+          opt.beta = beta;
           const auto r =
               micg::bfs::direction_optimizing_bfs(g, source, opt);
           ASSERT_EQ(r.level, ref.level);
+          EXPECT_EQ(r.reached, ref.reached);
+          EXPECT_TRUE(micg::bfs::is_valid_bfs_levels(g, source, r.level));
         }
       }
     });

@@ -106,21 +106,15 @@ TEST(PickKnobs, OooMeshKeepsShippedDefaults) {
   EXPECT_TRUE(plan.mem.simd);
   EXPECT_EQ(plan.mem.prefetch_distance, 0);
   EXPECT_EQ(plan.mem.partition, micg::rt::partition_mode::vertex);
-  EXPECT_FALSE(plan.bfs_direction);
-  EXPECT_DOUBLE_EQ(plan.bfs_alpha, 14.0);
   EXPECT_EQ(plan.layout, csr_layout::v32e32);
   EXPECT_FALSE(plan.rationale.empty());
 }
 
-TEST(PickKnobs, OooRmatPicksEdgeBalanceAndDirection) {
+TEST(PickKnobs, OooRmatPicksEdgeBalance) {
   const knob_plan plan = pick_knobs(ooo_profile(), rmat_stats());
   EXPECT_TRUE(plan.mem.simd);
   EXPECT_EQ(plan.mem.prefetch_distance, 0);
   EXPECT_EQ(plan.mem.partition, micg::rt::partition_mode::edge);
-  EXPECT_TRUE(plan.bfs_direction);
-  EXPECT_EQ(plan.bfs_partition, micg::rt::partition_mode::edge);
-  // Hubs own half the edges -> the bottom-up switch fires early.
-  EXPECT_DOUBLE_EQ(plan.bfs_alpha, 8.0);
 }
 
 TEST(PickKnobs, InOrderPicksPrefetch) {
@@ -143,14 +137,6 @@ TEST(PickKnobs, HysteresisKeepsDefaultOnMarginalWins) {
   const knob_plan plan = pick_knobs(p, mesh_stats());
   EXPECT_TRUE(plan.mem.simd);
   EXPECT_EQ(plan.mem.prefetch_distance, 0);
-}
-
-TEST(PickKnobs, ModerateHubMassKeepsBeamerAlpha) {
-  graph_stats st = rmat_stats();
-  st.hub_edge_fraction = 0.2;  // skewed, but hubs don't dominate
-  const knob_plan plan = pick_knobs(ooo_profile(), st);
-  EXPECT_TRUE(plan.bfs_direction);
-  EXPECT_DOUBLE_EQ(plan.bfs_alpha, 14.0);
 }
 
 TEST(PickKnobs, ChunkIsClampedPowerOfTwo) {
@@ -193,7 +179,6 @@ TEST(PickKnobs, SummaryMentionsEveryKnob) {
   EXPECT_NE(s.find("edge"), std::string::npos);
   EXPECT_NE(s.find("simd"), std::string::npos);
   EXPECT_NE(s.find("chunk"), std::string::npos);
-  EXPECT_NE(s.find("dir"), std::string::npos);
 }
 
 // ------------------------------------------------------- mode resolution
@@ -382,8 +367,7 @@ TEST(GraphStats, CacheIsEpochKeyed) {
 // Auto-tuning may only change *how* a kernel runs, never what it returns.
 // Sweep the api layer — the exact code path the CLI and server execute —
 // across tune modes, layouts and graph shapes, and require bit-identical
-// responses (modulo the reported variant name, which legitimately changes
-// when the tuner swaps the BFS implementation).
+// responses.
 
 class TuneInvariance : public ::testing::Test {
  protected:
@@ -419,6 +403,7 @@ TEST_F(TuneInvariance, BfsLevelsIdenticalAcrossModesAndLayouts) {
       req.ex.tune = "auto";
       const auto tuned = micg::api::run(g, req);
       const std::string at = name + "/" + micg::graph::layout_name(l);
+      EXPECT_EQ(tuned.variant, fixed.variant) << at;
       EXPECT_EQ(tuned.source, fixed.source) << at;
       EXPECT_EQ(tuned.num_levels, fixed.num_levels) << at;
       EXPECT_EQ(tuned.reached, fixed.reached) << at;

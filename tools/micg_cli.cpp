@@ -73,6 +73,8 @@ using micg::graph::csr_graph;
       "  micg color FILE [--threads N] [--backend NAME] [--chunk C]\n"
       "          [--d2 yes]\n"
       "  micg bfs FILE [--source V] [--variant NAME] [--threads N] [--block B]\n"
+      "          (variant: Direction-optimizing, the default, or a Fig 4 name\n"
+      "          such as OpenMP-Block-relaxed)\n"
       "  micg msbfs FILE [--sources K] [--lanes L] [--threads N]\n"
       "  micg bc FILE [--samples K] [--threads N] [--top M]\n"
       "          [--mode batched|repeated] [--lanes L]\n"
@@ -83,7 +85,7 @@ using micg::graph::csr_graph;
       "  micg cc FILE [--threads N] [--backend NAME] [--chunk C]\n"
       "  micg calibrate [-o FILE] [--threads N] [--runs R] [--quick yes]\n"
       "bfs/msbfs/bc/color/pagerank/sssp: --tune fixed|auto|calibrate picks\n"
-      "  memory/frontier/chunk knobs from a host profile ($MICG_CALIB, or\n"
+      "  memory/chunk knobs from a host profile ($MICG_CALIB, or\n"
       "  `micg calibrate -o`) + a graph probe; answers are bit-identical\n"
       "  across modes (docs/performance.md). Default: $MICG_TUNE, then fixed\n"
       "  micg serve --listen ADDR --graph NAME=PATH [--graph NAME=PATH ...]\n"
