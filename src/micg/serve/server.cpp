@@ -1,8 +1,11 @@
 #include "micg/serve/server.hpp"
 
+#include <pthread.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 
@@ -14,7 +17,16 @@ server::server(graph_store& store, server_options opt, obs::recorder* rec)
     : store_(store),
       opt_(std::move(opt)),
       ep_(parse_endpoint(opt_.listen)),
-      svc_(store_, opt_.svc, rec) {}
+      svc_(store_, opt_.svc, rec) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) cpus_.push_back(c);
+    }
+  }
+  cpu_sessions_.assign(cpus_.size(), 0);
+}
 
 server::~server() {
   request_shutdown();
@@ -34,12 +46,27 @@ void server::request_shutdown() {
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
-void server::session_main(int fd) {
+int server::take_cpu_slot() {
+  if (cpus_.empty()) return -1;
+  const auto it = std::min_element(cpu_sessions_.begin(), cpu_sessions_.end());
+  ++*it;
+  return static_cast<int>(it - cpu_sessions_.begin());
+}
+
+void server::session_main(int fd, int cpu_slot) {
+  if (cpu_slot >= 0) {
+    // Best effort: a failed pin leaves the thread where the kernel puts it.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpus_[static_cast<std::size_t>(cpu_slot)], &set);
+    (void)::pthread_setaffinity_np(::pthread_self(), sizeof(set), &set);
+  }
   socket_stream stream(fd);
   svc_.serve_session(stream, stream);
   {
     const std::lock_guard<std::mutex> lock(smu_);
     session_fds_.erase(fd);
+    if (cpu_slot >= 0) --cpu_sessions_[static_cast<std::size_t>(cpu_slot)];
   }
   // A session that carried the `shutdown` op pops the accept loop.
   if (svc_.shutdown_requested()) request_shutdown();
@@ -58,13 +85,16 @@ void server::run() {
       ::close(cfd);
       continue;
     }
+    int cpu_slot = -1;
     {
       // Register the fd before the thread exists so a concurrent
       // teardown can always unblock this session's reads.
       const std::lock_guard<std::mutex> lock(smu_);
       session_fds_.insert(cfd);
+      cpu_slot = take_cpu_slot();
     }
-    threads_.emplace_back([this, cfd] { session_main(cfd); });
+    threads_.emplace_back(
+        [this, cfd, cpu_slot] { session_main(cfd, cpu_slot); });
   }
 
   svc_.begin_shutdown();

@@ -11,6 +11,13 @@
 //     EOF on its next read;
 //  4. run() joins every session thread and drains the admission gate
 //     before returning — no query is abandoned mid-flight.
+//
+// Session placement: each session thread is pinned to the allowed CPU
+// that holds the fewest live sessions. A session blocks on its socket
+// between requests and is woken by its client's write; left to the
+// kernel, those wake-ups can stack several sessions on one core while
+// others idle, and concurrent single-thread queries then time-share it.
+// Helpers of multi-thread requests (the slot pools) stay unpinned.
 #pragma once
 
 #include <atomic>
@@ -58,7 +65,11 @@ class server {
   [[nodiscard]] service& svc() { return svc_; }
 
  private:
-  void session_main(int fd);
+  void session_main(int fd, int cpu_slot);
+
+  /// Index into cpus_ of the least-loaded CPU, counted as taken; -1 when
+  /// the allowed set is unknown. Caller holds smu_.
+  int take_cpu_slot();
 
   graph_store& store_;
   server_options opt_;
@@ -69,6 +80,9 @@ class server {
   std::mutex smu_;
   std::set<int> session_fds_;
   std::vector<std::thread> threads_;
+  /// CPUs this process may run on, and the live sessions pinned to each.
+  std::vector<int> cpus_;
+  std::vector<int> cpu_sessions_;
 };
 
 }  // namespace micg::serve

@@ -1,5 +1,9 @@
 #include "micg/serve/service.hpp"
 
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <istream>
 #include <ostream>
@@ -55,6 +59,28 @@ const char* admission_refusal(obs::recorder* rec, api::status st,
          : st == api::status::deadline_exceeded
              ? "request waited past its deadline"
              : "server is shutting down";
+}
+
+/// A slot pool whose helpers may run on every CPU the process may use.
+/// Threads inherit their creator's CPU mask, and the creator here is a
+/// session thread, which the server pins to one CPU (server.hpp): helpers
+/// stacked on that CPU would run the pool's regions one worker at a time.
+std::unique_ptr<rt::thread_pool> make_slot_pool(int threads) {
+  cpu_set_t own;
+  cpu_set_t process;
+  const bool widen =
+      ::pthread_getaffinity_np(::pthread_self(), sizeof(own), &own) == 0 &&
+      ::sched_getaffinity(::getpid(), sizeof(process), &process) == 0 &&
+      !CPU_EQUAL(&own, &process);
+  if (widen) {
+    (void)::pthread_setaffinity_np(::pthread_self(), sizeof(process),
+                                   &process);
+  }
+  auto pool = std::make_unique<rt::thread_pool>(threads);
+  if (widen) {
+    (void)::pthread_setaffinity_np(::pthread_self(), sizeof(own), &own);
+  }
+  return pool;
 }
 
 }  // namespace
@@ -143,7 +169,7 @@ service::admit_result service::admit(std::int64_t deadline_ms) {
   free_slots_.pop_back();
   auto& pool = pools_[static_cast<std::size_t>(slot)];
   if (pool == nullptr && opt_.threads_per_query > 1) {
-    pool = std::make_unique<rt::thread_pool>(opt_.threads_per_query);
+    pool = make_slot_pool(opt_.threads_per_query);
   }
   return {api::status::ok, slot, sw.seconds()};
 }

@@ -5,11 +5,16 @@
 // unix-socket session with concurrent clients and a mutating writer.
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -847,6 +852,54 @@ TEST_F(EndToEnd, ConcurrentQueriesWhileAWriterMutatesAndCompacts) {
   EXPECT_EQ(info.at("status").as_string(), "ok");
   EXPECT_EQ(info.at("result").at("num_vertices").as_int(), 64);
 
+  EXPECT_EQ(c.call("shutdown", "").at("status").as_string(), "ok");
+  server_thread.join();
+  ::unlink(path_.c_str());
+}
+
+// Session threads are pinned one per allowed CPU; the helpers of a slot
+// pool that a pinned session creates keep the process's whole CPU set.
+TEST_F(EndToEnd, SessionsArePinnedOnePerCpuButPoolHelpersAreNot) {
+  cpu_set_t process;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(process), &process), 0);
+  const int cpus = CPU_COUNT(&process);
+  const int sessions = std::min(cpus, 4);
+  micg::serve::server_options opt;
+  opt.listen = "unix:" + path_;
+  opt.svc = {.max_inflight = 4, .max_waiting = 0, .threads_per_query = 2};
+  micg::serve::server srv(store_, opt);
+  srv.bind_and_listen();
+  std::thread server_thread([&] { srv.run(); });
+
+  // Every session answers one two-thread query, so each has pinned
+  // itself, and the first one has created a slot pool with a helper.
+  std::vector<std::unique_ptr<micg::serve::client>> clients;
+  for (int i = 0; i < sessions; ++i) {
+    clients.push_back(std::make_unique<micg::serve::client>(opt.listen));
+    const json resp =
+        clients.back()->call("bfs", "g", json(json_object{{"threads", json(2)}}));
+    EXPECT_EQ(resp.at("status").as_string(), "ok");
+  }
+
+  std::vector<int> pinned_to;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    const pid_t tid = std::stoi(task.path().filename().string());
+    cpu_set_t mask;
+    if (::sched_getaffinity(tid, sizeof(mask), &mask) != 0) continue;
+    if (CPU_EQUAL(&mask, &process)) continue;
+    EXPECT_EQ(CPU_COUNT(&mask), 1) << "thread " << tid;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &mask)) pinned_to.push_back(c);
+    }
+  }
+  // One CPU allowed: a pin to it is the whole set, so nothing differs.
+  EXPECT_EQ(static_cast<int>(pinned_to.size()), cpus > 1 ? sessions : 0);
+  EXPECT_EQ(std::set<int>(pinned_to.begin(), pinned_to.end()).size(),
+            pinned_to.size());
+
+  clients.clear();
+  micg::serve::client c(opt.listen);
   EXPECT_EQ(c.call("shutdown", "").at("status").as_string(), "ok");
   server_thread.join();
   ::unlink(path_.c_str());
