@@ -81,9 +81,10 @@ int main(int argc, char** argv) {
   // ("this scheme can produce slightly larger queues").
   {
     const double mscale = cfg.measured_scale;
+    const int threads = cfg.measured_threads.back();
     table_printer t(
-        "Measured queue padding (slots incl. sentinels / frontier), 8 "
-        "threads, scale=" +
+        "Measured queue padding (slots incl. sentinels / frontier), " +
+        std::to_string(threads) + " threads, scale=" +
         table_printer::fmt(mscale, 3));
     std::vector<std::string> header{"graph"};
     for (int b : blocks) header.push_back("b=" + std::to_string(b));
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
       for (int b : blocks) {
         micg::bfs::parallel_bfs_options opt;
         opt.variant = micg::bfs::bfs_variant::omp_block_relaxed;
-        opt.ex.threads = 8;
+        opt.ex.threads = threads;
         opt.block = b;
         const auto r =
             micg::bfs::parallel_bfs(g, g.num_vertices() / 2, opt);

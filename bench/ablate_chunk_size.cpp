@@ -70,7 +70,9 @@ int main(int argc, char** argv) {
   const double mscale = cfg.measured_scale;
   const int runs = cfg.measured_runs;
   const auto& g = micg::benchkit::suite_graph("hood", mscale);
-  table_printer mt("Measured runtime (ms) on this host, 8 threads, hood");
+  const int threads = cfg.measured_threads.back();
+  table_printer mt("Measured runtime (ms) on this host, " +
+                   std::to_string(threads) + " threads, hood");
   std::vector<std::string> mheader{"schedule"};
   for (auto c : chunks) mheader.push_back("c=" + std::to_string(c));
   mt.header(std::move(mheader));
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
     for (auto c : chunks) {
       micg::color::iterative_options opt;
       opt.ex.kind = s.kind;
-      opt.ex.threads = 8;
+      opt.ex.threads = threads;
       opt.ex.chunk = c;
       const double secs = micg::benchkit::time_stable(
           [&] { micg::color::iterative_color(g, opt); }, runs);
@@ -94,7 +96,7 @@ int main(int argc, char** argv) {
   if (sink.enabled()) {
     micg::color::iterative_options opt;
     opt.ex.kind = backend::omp_dynamic;
-    opt.ex.threads = 8;
+    opt.ex.threads = threads;
     opt.ex.chunk = 100;
     micg::benchkit::record_run(
         sink,

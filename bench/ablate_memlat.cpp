@@ -1,25 +1,21 @@
-// Ablation: memory-hierarchy fast paths — SIMD gather x software-prefetch
-// distance x loop partitioning for the irregular kernels, and the
-// partitioning of direction-optimizing BFS's bitmap bottom-up steps. The
-// paper's KNF card is an in-order machine whose gather loops stall on
-// every cache miss (§III-B); these are the knobs that hide or remove that
-// latency. Every knob
-// configuration computes bit-identical results (tested), so the sweep
-// measures memory behavior only. The speedup column is baseline time /
-// config time, where the baseline row runs the pre-optimization kernel
-// (seed spmv/pagerank, vertex-partitioned bottom-up BFS).
+// Ablation: memory-hierarchy fast paths — SIMD gather x loop
+// partitioning for the irregular kernels. The paper's KNF card is an
+// in-order machine whose gather loops stall on every cache miss
+// (§III-B); these are the knobs that hide or remove that latency. Every
+// knob configuration computes bit-identical results (tested), so the
+// sweep measures memory behavior only. The speedup column is baseline
+// time / config time, where the baseline row runs the pre-optimization
+// kernel (seed spmv/pagerank).
 #include <algorithm>
 #include <cmath>
 #include <functional>
 #include <iostream>
-#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "micg/benchkit/benchkit.hpp"
-#include "micg/bfs/direction.hpp"
 #include "micg/graph/generators.hpp"
 #include "micg/irregular/pagerank.hpp"
 #include "micg/irregular/spmv.hpp"
@@ -45,14 +41,11 @@ std::vector<mem_config> sweep_configs() {
   std::vector<mem_config> cfgs;
   for (bool simd : {false, true}) {
     for (partition_mode part : {partition_mode::vertex, partition_mode::edge}) {
-      for (int dist : {0, 8, 32}) {
-        mem_config c;
-        c.mem = {.partition = part, .prefetch_distance = dist, .simd = simd};
-        c.name = std::string(simd ? "simd" : "scalar") + "/" +
-                 micg::rt::partition_mode_name(part) + "/pf" +
-                 std::to_string(dist);
-        cfgs.push_back(c);
-      }
+      mem_config c;
+      c.mem = {.partition = part, .simd = simd};
+      c.name = std::string(simd ? "simd" : "scalar") + "/" +
+               micg::rt::partition_mode_name(part);
+      cfgs.push_back(c);
     }
   }
   return cfgs;
@@ -203,8 +196,7 @@ int main(int argc, char** argv) {
         best[ci] = std::min(best[ci], 1e3 * sw.seconds());
       }
     }
-    table_printer t(std::string(kernel) +
-                    ": simd x partition x prefetch distance");
+    table_printer t(std::string(kernel) + ": simd x partition");
     t.header({"config", "ms", "speedup"});
     const double baseline_ms = best.front();
     for (std::size_t ci = 0; ci < rows.size(); ++ci) {
@@ -221,58 +213,6 @@ int main(int argc, char** argv) {
         rec.set_meta("bench", "ablate_memlat");
         rec.set_meta("kernel", kernel);  // the seed rows don't self-tag
         rec.set_meta("config", rows[ci].first);
-        rec.set_value("time_ms", ms);
-        rec.set_value("speedup_vs_baseline", speedup);
-        sink.record(rec.take());
-      }
-    }
-    t.print(std::cout);
-    std::cout << '\n';
-  }
-
-  // ------------------------------------------------------ direction sweep
-  {
-    micg::graph::vertex_t src = 0;
-    while (g.degree(src) == 0) ++src;
-    table_printer t("direction bfs: bottom-up partition");
-    t.header({"config", "ms", "speedup"});
-    struct bfs_config {
-      std::string name;
-      partition_mode part;
-    };
-    const bfs_config bfs_cfgs[] = {
-        {"bitmap/vertex", partition_mode::vertex},
-        {"bitmap/edge", partition_mode::edge},
-    };
-    const auto run_once = [&](const bfs_config& c) {
-      micg::bfs::direction_options opt;
-      opt.ex.threads = threads;
-      opt.partition = c.part;
-      micg::bfs::direction_optimizing_bfs(g, src, opt);
-    };
-    const std::size_t ncfg = std::size(bfs_cfgs);
-    std::vector<double> best(ncfg, std::numeric_limits<double>::infinity());
-    for (int r = 0; r < runs; ++r) {
-      for (std::size_t ci = 0; ci < ncfg; ++ci) {
-        micg::stopwatch sw;
-        run_once(bfs_cfgs[ci]);
-        best[ci] = std::min(best[ci], 1e3 * sw.seconds());
-      }
-    }
-    const double baseline_ms = best.front();
-    for (std::size_t ci = 0; ci < ncfg; ++ci) {
-      const auto& c = bfs_cfgs[ci];
-      const double ms = best[ci];
-      const double speedup = baseline_ms / ms;
-      t.row({c.name, table_printer::fmt(ms), table_printer::fmt(speedup)});
-      if (sink.enabled()) {
-        micg::obs::recorder rec;
-        {
-          micg::obs::scoped_global guard(rec);
-          run_once(c);
-        }
-        rec.set_meta("bench", "ablate_memlat");
-        rec.set_meta("config", "bfs/" + c.name);
         rec.set_value("time_ms", ms);
         rec.set_value("speedup_vs_baseline", speedup);
         sink.record(rec.take());

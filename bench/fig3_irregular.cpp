@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
 
   // Measured: run the real Algorithm 5 kernel (in-place mode), once per
   // memory-hierarchy path selected by --memopt (fast = SIMD gather +
-  // prefetch + edge-balanced chunks, scalar = the pre-optimization loop —
-  // results are bit-identical, so the pairs of curves isolate the memory
+  // edge-balanced chunks, scalar = the pre-optimization loop — results
+  // are bit-identical, so the pairs of curves isolate the memory
   // effects).
   const auto& mgrid = cfg.measured_threads;
   const double mscale = cfg.measured_scale;

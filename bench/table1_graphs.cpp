@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
     micg::color::iterative_options opt;
     opt.ex.kind = micg::rt::backend::omp_dynamic;
-    opt.ex.threads = 8;
+    opt.ex.threads = cfg.measured_threads.back();
     opt.ex.chunk = 100;
     const auto par = micg::color::iterative_color(g, opt);
     // The paper reports parallel color counts within 5% of sequential on
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
         micg::graph::table1_suite().front().name, scale);
     micg::color::iterative_options opt;
     opt.ex.kind = micg::rt::backend::omp_dynamic;
-    opt.ex.threads = 8;
+    opt.ex.threads = cfg.measured_threads.back();
     opt.ex.chunk = 100;
     micg::benchkit::record_run(
         sink,

@@ -31,6 +31,10 @@ namespace {
 /// running unsharded (from_json ignores unknown fields).
 constexpr const char* kShardsRemoved =
     "shards must be 1: sharded execution was removed";
+/// The auto-tuner was removed; its field stays on the wire for the same
+/// reason, and only its one remaining mode, "fixed", is accepted.
+constexpr const char* kTuneRemoved =
+    "tune must be fixed: the auto-tuner was removed";
 
 /// Top-k selection by descending score, ties broken exactly like the
 /// historical CLI code (std::partial_sort over the index array with a
@@ -53,38 +57,6 @@ std::vector<bc_entry> top_entries(const std::vector<double>& score,
   }
   return out;
 }
-
-/// Per-request view of the auto-tuner: resolves the mode once, reuses
-/// the serve layer's cached plan when the context carries one, probes
-/// the graph and picks inline otherwise. get() is nullptr under "fixed"
-/// — the historical code path, untouched.
-class tuned_plan {
- public:
-  tuned_plan(const graph::any_csr& g, const exec_params& ex,
-             const run_context& ctx, obs::recorder* rec)
-      : mode_(tune::resolve_tune_mode(ex.tune)) {
-    if (mode_ == tune::tune_mode::fixed) return;
-    if (ctx.plan != nullptr) {
-      shared_ = ctx.plan;
-    } else {
-      local_ = tune::pick_knobs(tune::profile_for_mode(mode_),
-                                graph::compute_graph_stats(g));
-    }
-    tune::tag_plan(rec, mode_, *get());
-  }
-  tuned_plan(const tuned_plan&) = delete;
-  tuned_plan& operator=(const tuned_plan&) = delete;
-
-  [[nodiscard]] const tune::knob_plan* get() const {
-    if (mode_ == tune::tune_mode::fixed) return nullptr;
-    return shared_ != nullptr ? shared_ : &local_;
-  }
-
- private:
-  tune::tune_mode mode_;
-  const tune::knob_plan* shared_ = nullptr;
-  tune::knob_plan local_;
-};
 
 }  // namespace
 
@@ -124,6 +96,7 @@ rt::exec resolve_exec(const exec_params& p, const run_context& ctx) {
              "threads must be in [1, 4096]");
   MICG_CHECK(p.chunk >= 1, "chunk must be >= 1");
   MICG_CHECK(p.shards == 1, kShardsRemoved);
+  MICG_CHECK(p.tune.empty() || p.tune == "fixed", kTuneRemoved);
   rt::exec e;
   e.kind = rt::backend_from_name(p.backend);
   e.threads = p.threads;
@@ -192,10 +165,6 @@ bfs_response run(const graph::any_csr& g, const bfs_request& req,
     }
     return r;
   };
-  const tuned_plan tp(g, req.ex, ctx, opt.ex.sink());
-  if (const tune::knob_plan* plan = tp.get(); plan != nullptr) {
-    if (plan->chunk > 0) opt.ex.chunk = plan->chunk;
-  }
   if (direction) {
     micg::bfs::direction_options dopt;
     dopt.ex = opt.ex;
@@ -337,15 +306,6 @@ pagerank_response run(const graph::any_csr& g, const pagerank_request& req,
   opt.damping = req.damping;
   opt.tolerance = req.tolerance;
   opt.max_iterations = static_cast<int>(req.max_iterations);
-  const tuned_plan tp(g, req.ex, ctx, opt.ex.sink());
-  if (const tune::knob_plan* plan = tp.get(); plan != nullptr) {
-    // Memory fast-path knobs are bit-identical by construction (the
-    // parity tests pin it) and the reductions use deterministic fixed
-    // blocks (rt/reduce.hpp), so the tuner is free to flip knobs and
-    // chunk per host.
-    opt.mem = plan->mem;
-    if (plan->chunk > 0) opt.ex.chunk = plan->chunk;
-  }
   const auto res = g.visit(
       [&](const auto& cg) { return micg::irregular::pagerank(cg, opt); });
   r.iterations = res.iterations;
@@ -389,13 +349,6 @@ sssp_response run(const graph::any_csr& g, const sssp_request& req,
   // a wider one is a request for memory, not for a different answer.
   MICG_CHECK(req.max_weight / opt.delta <= (std::int64_t{1} << 20),
              "max_weight / delta must be <= 2^20 (raise delta)");
-  // The knob picker may move the scheduling chunk; like every tuned knob
-  // the answer is invariant (any delta, any chunk -> same distances).
-  const tuned_plan tp(g, req.ex, ctx, opt.ex.sink());
-  if (const tune::knob_plan* plan = tp.get();
-      plan != nullptr && plan->chunk > 0) {
-    opt.ex.chunk = plan->chunk;
-  }
   graph::weight_params wp;
   wp.seed = static_cast<std::uint64_t>(req.weights_seed);
   wp.max_weight = static_cast<graph::weight_t>(req.max_weight);

@@ -37,10 +37,6 @@
 #include "micg/graph/any_csr.hpp"
 #include "micg/rt/exec.hpp"
 
-namespace micg::tune {
-struct knob_plan;
-}
-
 namespace micg::api {
 
 // ---------------------------------------------------------------------------
@@ -101,15 +97,11 @@ struct exec_params {
   /// Input only: resolve_exec refuses anything but 1 (sharded execution
   /// was removed), so an old client asking for shards fails loudly.
   int shards = 1;
-  /// Auto-tuning mode: "fixed", "auto", "calibrate", or "" (defer to
-  /// $MICG_TUNE, then "fixed"). Under auto/calibrate the knob picker
-  /// (micg::tune) may override memory fast-path knobs, the BFS frontier
-  /// representation and the chunk size — never the answer, which is
-  /// bit-identical across modes by construction.
+  /// Input only: resolve_exec refuses anything but "" or "fixed" (the
+  /// auto-tuner was removed), so an old client asking for it fails
+  /// loudly instead of running untuned.
   std::string tune;
 
-  /// `tune` is left off the wire while unset, which keeps the
-  /// serialization of clients that predate the tuner.
   static constexpr auto fields() {
     using T = exec_params;
     return std::to_array<field<T>>(
@@ -133,10 +125,6 @@ struct run_context {
   /// from the pinned snapshot so responses (info) can report which
   /// version answered. Negative = unversioned (CLI, direct library use).
   std::int64_t snapshot_epoch = -1;
-  /// Pre-computed knob plan for the graph being queried (the serve layer
-  /// caches one per snapshot epoch). nullptr makes non-fixed tune modes
-  /// probe the graph and pick knobs inline; ignored under "fixed".
-  const tune::knob_plan* plan = nullptr;
 };
 
 /// exec_params + run_context -> the rt::exec the kernels receive

@@ -4,6 +4,7 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "micg/obs/emit.hpp"
@@ -48,6 +49,15 @@ series geomean_series(const std::string& name,
     s.values.push_back(geometric_mean(column));
   }
   return s;
+}
+
+std::vector<int> default_measured_threads() {
+  const auto hw = static_cast<int>(std::thread::hardware_concurrency());
+  std::vector<int> out;
+  for (const int t : {1, 2, 4, 8}) {
+    if (t == 1 || t <= hw) out.push_back(t);
+  }
+  return out;
 }
 
 namespace {

@@ -44,18 +44,23 @@ void print_figure(const std::string& title,
 series geomean_series(const std::string& name,
                       const std::vector<std::vector<double>>& per_graph);
 
+/// {1, 2, 4, 8} without the entries above the host's hardware threads:
+/// a measured series never oversubscribes the cores it runs on.
+std::vector<int> default_measured_threads();
+
 /// All harness configuration, parsed once instead of re-read from the
 /// environment at every call site.
 struct config {
   double model_scale = 1.0;
   double measured_scale = 0.02;
-  std::vector<int> measured_threads{1, 2, 4, 8};
+  /// MICG_MEASURED_THREADS overrides (unclamped).
+  std::vector<int> measured_threads = default_measured_threads();
   int measured_runs = 4;
   /// Output path for the structured metrics record; empty disables the
   /// metrics sink.
   std::string metrics_json;
   /// Which memory-hierarchy configurations the figure benches measure:
-  /// "fast" (SIMD + prefetch + edge-balanced), "scalar" (the
+  /// "fast" (SIMD + edge-balanced), "scalar" (the
   /// pre-optimization path), or "both" (one labeled curve set per path,
   /// so the fast-path speedup is reproducible from the shipped binaries).
   /// MICG_MEMOPT / --memopt override; invalid values are rejected.

@@ -9,6 +9,7 @@
 #include "micg/bfs/block_queue.hpp"
 #include "micg/bfs/level_step.hpp"
 #include "micg/obs/obs.hpp"
+#include "micg/rt/edge_partition.hpp"
 #include "micg/rt/exec.hpp"
 #include "micg/support/assert.hpp"
 #include "micg/support/cacheline.hpp"
@@ -128,8 +129,8 @@ direction_bfs_result direction_optimizing_bfs(const G& g,
       // from the level array, and parents are tested on the level array,
       // whose level depth-1 entries are final.
       const bool entering = !was_bottom_up;
-      rt::for_range_graph(
-          ex, nwords, wxadj.data(), opt.partition,
+      rt::for_range_edges(
+          ex, nwords, wxadj.data(),
           [&](std::int64_t b, std::int64_t e, int worker) {
             frontier_count& c = counts[static_cast<std::size_t>(worker)].value;
             for (std::int64_t w = b; w < e; ++w) {

@@ -12,7 +12,9 @@
 // frontier's out-edges pass |E|/alpha the search switches to bottom-up
 // steps over 64-vertex bitmap words, where every unvisited vertex scans
 // its neighbors for a parent in the current frontier (early exit on
-// first hit); it switches back, and
+// first hit), with the words split across workers in edge-balanced
+// chunks so hub rows of skewed (RMAT) graphs do not serialize a step;
+// it switches back, and
 // unpacks the bitmap frontier into the queue, once the frontier shrinks
 // below |V|/beta. On the high-diameter FEM meshes of Table I the
 // frontiers stay narrow, the switch never fires and every step is the
@@ -22,7 +24,6 @@
 #include "micg/bfs/layered.hpp"
 #include "micg/bfs/seq.hpp"
 #include "micg/graph/csr.hpp"
-#include "micg/rt/edge_partition.hpp"
 #include "micg/rt/exec.hpp"
 
 namespace micg::bfs {
@@ -41,10 +42,6 @@ struct direction_options {
   /// alpha); back to top-down when the frontier shrinks below |V|/beta.
   double alpha = 14.0;
   double beta = 24.0;
-  /// How bottom-up steps split the bitmap words across workers; edge
-  /// balancing stops skewed (RMAT) degree distributions from serializing
-  /// on hub rows.
-  rt::partition_mode partition = rt::partition_mode::edge;
 };
 
 struct direction_bfs_result : bfs_result {

@@ -62,7 +62,7 @@ landmark_index build_landmarks(const G& g, const landmark_options& opt) {
   // tightest d(L,u)+d(L,v) sums on skewed-degree graphs, and the
   // deterministic rule keeps answers reproducible across rebuilds. The
   // selection itself is the shared graph/stats helper, so the rule here
-  // and the tuner's hub table cannot drift apart.
+  // and the stats probe's hub table cannot drift apart.
   const std::vector<VId> pivots = graph::top_degree_vertices(g, opt.count);
 
   msbfs_options mo;

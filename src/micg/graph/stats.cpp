@@ -102,29 +102,6 @@ graph_stats compute_graph_stats(const any_csr& g) {
   return g.visit([](const auto& cg) { return compute_graph_stats(cg); });
 }
 
-std::shared_ptr<const graph_stats> stats_cache::get(const std::string& key,
-                                                    std::int64_t epoch,
-                                                    const any_csr& g) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.epoch == epoch) {
-      return it->second.stats;
-    }
-  }
-  // Compute outside the lock: the probe is cheap but O(n), and two racing
-  // computations of the same immutable snapshot are benign (last wins).
-  auto st = std::make_shared<const graph_stats>(compute_graph_stats(g));
-  const std::lock_guard<std::mutex> lock(mu_);
-  entries_[key] = entry{epoch, st};
-  return st;
-}
-
-std::size_t stats_cache::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 #define MICG_INSTANTIATE(G)                                \
   template graph_stats compute_graph_stats<G>(const G&);   \
   template std::vector<typename G::vertex_type>            \

@@ -1,22 +1,15 @@
-// One-sweep structural statistics — the per-graph half of the auto-tuner.
+// One-sweep structural statistics of a graph.
 //
 // Several consumers used to run their own ad-hoc degree scans: the
 // landmark builder partial-sorted all vertices for its top-degree pivots,
-// `info` swept degrees for Table-I statistics, and the knob picker
-// (micg::tune) needs the degree distribution to predict which frontier
-// representation and loop partitioning win. graph_stats computes all of
-// it in one pass over xadj (plus an O(n log k) top-k selection) so the
-// probe is cheap enough to run at graph load time, and stats_cache
-// memoizes the result per snapshot epoch so the serving layer computes it
-// once per compaction rather than once per request.
+// `info` swept degrees for Table-I statistics, and delta-stepping's
+// default bucket width (tune::pick_sssp_delta) reads the mean degree.
+// graph_stats computes all of it in one pass over xadj (plus an
+// O(n log k) top-k selection), cheap enough to run at graph load time.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "micg/graph/any_csr.hpp"
@@ -78,28 +71,5 @@ graph_stats compute_graph_stats(const any_csr& g);
 /// rule (landmark pivots, hub tables). `k` is clamped to |V|.
 template <CsrGraph G>
 std::vector<typename G::vertex_type> top_degree_vertices(const G& g, int k);
-
-/// Epoch-keyed memo of graph_stats, shared by the serving layer and the
-/// tuner: stats are immutable per snapshot, so one probe per (key, epoch)
-/// suffices. Thread-safe; a changed epoch replaces the cached entry.
-class stats_cache {
- public:
-  /// The stats of `g` at `epoch` under `key` (typically the served graph
-  /// name). Computes on miss or epoch change; returns the cached result
-  /// otherwise without touching `g`.
-  std::shared_ptr<const graph_stats> get(const std::string& key,
-                                         std::int64_t epoch, const any_csr& g);
-
-  /// Entries currently held (tests / introspection).
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct entry {
-    std::int64_t epoch = -1;
-    std::shared_ptr<const graph_stats> stats;
-  };
-  mutable std::mutex mu_;
-  std::map<std::string, entry> entries_;
-};
 
 }  // namespace micg::graph

@@ -1,10 +1,8 @@
 #include "micg/irregular/heat.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "micg/support/assert.hpp"
-#include "micg/support/prefetch.hpp"
 #include "micg/support/simd.hpp"
 
 namespace micg::irregular {
@@ -21,12 +19,9 @@ std::vector<double> heat_diffusion(const G& g,
   MICG_CHECK(opt.steps >= 0, "steps must be non-negative");
   MICG_CHECK(opt.alpha > 0.0, "alpha must be positive");
   MICG_CHECK(opt.ex.threads >= 1, "need at least one thread");
-  MICG_CHECK(opt.mem.prefetch_distance >= 0,
-             "prefetch distance must be non-negative");
 
   const EId* xadj = g.xadj().data();
   const VId* adj = g.adj().data();
-  const auto dist = static_cast<EId>(opt.mem.prefetch_distance);
   const bool vec = opt.mem.simd;
 
   std::vector<double> cur(state.begin(), state.end());
@@ -37,17 +32,9 @@ std::vector<double> heat_diffusion(const G& g,
     rt::for_range_graph(
         opt.ex, n, xadj, opt.mem.partition,
         [&](std::int64_t b, std::int64_t e, int) {
-          EId pf = xadj[b];
-          const EId chunk_end = xadj[e];
           for (std::int64_t i = b; i < e; ++i) {
             const EId rb = xadj[i];
             const EId re = xadj[i + 1];
-            if (dist > 0) {
-              const EId ahead = std::min<EId>(re + dist, chunk_end);
-              for (; pf < ahead; ++pf) {
-                prefetch_read(src + static_cast<std::size_t>(adj[pf]));
-              }
-            }
             // sum_w (src[w] - src[i]) = gather_sum - deg*src[i]; the
             // gathered sum is the only reassociated term, so the result
             // is identical across all knob combinations.

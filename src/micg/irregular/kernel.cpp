@@ -1,10 +1,8 @@
 #include "micg/irregular/kernel.hpp"
 
-#include <algorithm>
 
 #include "micg/obs/obs.hpp"
 #include "micg/support/assert.hpp"
-#include "micg/support/prefetch.hpp"
 #include "micg/support/simd.hpp"
 
 namespace micg::irregular {
@@ -39,8 +37,6 @@ std::vector<double> irregular_kernel(const G& g,
              "state size must equal vertex count");
   MICG_CHECK(opt.iterations >= 1, "need at least one iteration");
   MICG_CHECK(opt.ex.threads >= 1, "need at least one thread");
-  MICG_CHECK(opt.mem.prefetch_distance >= 0,
-             "prefetch distance must be non-negative");
 
   obs::recorder* rec = opt.ex.sink();
   obs::counter* updates_ctr =
@@ -57,13 +53,10 @@ std::vector<double> irregular_kernel(const G& g,
     rec->set_meta("partition", rt::partition_mode_name(opt.mem.partition));
     rec->set_meta("simd", opt.mem.simd && simd::vectorized() ? simd::isa_name()
                                                              : "scalar");
-    rec->set_value("mem.prefetch_distance",
-                   static_cast<double>(opt.mem.prefetch_distance));
   }
 
   const EId* xadj = g.xadj().data();
   const VId* adj = g.adj().data();
-  const auto dist = static_cast<EId>(opt.mem.prefetch_distance);
   const bool vec = opt.mem.simd;
 
   std::vector<double> out(state.begin(), state.end());
@@ -79,17 +72,9 @@ std::vector<double> irregular_kernel(const G& g,
         if (updates_ctr != nullptr) {
           updates_ctr->add(worker, static_cast<std::uint64_t>(e - b));
         }
-        EId pf = xadj[b];
-        const EId chunk_end = xadj[e];
         for (std::int64_t i = b; i < e; ++i) {
           const EId rb = xadj[i];
           const EId re = xadj[i + 1];
-          if (dist > 0) {
-            const EId ahead = std::min<EId>(re + dist, chunk_end);
-            for (; pf < ahead; ++pf) {
-              prefetch_read(read + static_cast<std::size_t>(adj[pf]));
-            }
-          }
           dst[i] = update_vertex(read, read[i], adj + rb,
                                  static_cast<std::size_t>(re - rb),
                                  opt.iterations, vec);

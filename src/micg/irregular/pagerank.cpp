@@ -1,13 +1,11 @@
 #include "micg/irregular/pagerank.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 
 #include "micg/obs/obs.hpp"
 #include "micg/rt/reduce.hpp"
 #include "micg/support/assert.hpp"
-#include "micg/support/prefetch.hpp"
 #include "micg/support/simd.hpp"
 
 namespace micg::irregular {
@@ -21,8 +19,6 @@ pagerank_result pagerank(const G& g, const pagerank_options& opt) {
   MICG_CHECK(opt.damping > 0.0 && opt.damping < 1.0,
              "damping must be in (0, 1)");
   MICG_CHECK(opt.ex.threads >= 1, "need at least one thread");
-  MICG_CHECK(opt.mem.prefetch_distance >= 0,
-             "prefetch distance must be non-negative");
 
   const double init = 1.0 / static_cast<double>(n);
   pagerank_result r;
@@ -35,7 +31,6 @@ pagerank_result pagerank(const G& g, const pagerank_options& opt) {
 
   const EId* xadj = g.xadj().data();
   const VId* adj = g.adj().data();
-  const auto dist = static_cast<EId>(opt.mem.prefetch_distance);
   const bool vec = opt.mem.simd;
 
   // Fills contrib[i] from vertex i's rank and returns its dangling mass:
@@ -52,8 +47,7 @@ pagerank_result pagerank(const G& g, const pagerank_options& opt) {
   // The reductions use fixed blocks (rt/reduce.hpp), not per-chunk
   // accumulators, so the result — and through `base`, every rank value —
   // is bit-identical across threads, chunk sizes and partitioning: the
-  // invariance that lets `--tune auto` retune the schedule without moving
-  // the answer.
+  // invariance that lets the schedule change without moving the answer.
   double dangling = rt::deterministic_sum<1>(opt.ex, n, [&](std::int64_t i) {
     return std::array{fill_contrib(i, r.rank[static_cast<std::size_t>(i)])};
   })[0];
@@ -68,17 +62,9 @@ pagerank_result pagerank(const G& g, const pagerank_options& opt) {
     rt::for_range_graph(
         opt.ex, n, xadj, opt.mem.partition,
         [&](std::int64_t b, std::int64_t e, int) {
-          EId pf = xadj[b];
-          const EId chunk_end = xadj[e];
           for (std::int64_t i = b; i < e; ++i) {
             const EId rb = xadj[i];
             const EId re = xadj[i + 1];
-            if (dist > 0) {
-              const EId ahead = std::min<EId>(re + dist, chunk_end);
-              for (; pf < ahead; ++pf) {
-                prefetch_read(src + static_cast<std::size_t>(adj[pf]));
-              }
-            }
             const double sum = simd::gather_sum(
                 src, adj + rb, static_cast<std::size_t>(re - rb), vec);
             next[static_cast<std::size_t>(i)] = base + opt.damping * sum;
@@ -108,8 +94,6 @@ pagerank_result pagerank(const G& g, const pagerank_options& opt) {
     rec->set_meta("partition", rt::partition_mode_name(opt.mem.partition));
     rec->set_meta("simd", opt.mem.simd && simd::vectorized() ? simd::isa_name()
                                                              : "scalar");
-    rec->set_value("mem.prefetch_distance",
-                   static_cast<double>(opt.mem.prefetch_distance));
     rec->get_counter("pagerank.iterations")
         .add(0, static_cast<std::uint64_t>(r.iterations));
     rec->set_value("pagerank.final_delta", r.final_delta);

@@ -1,10 +1,8 @@
 #include "micg/irregular/spmv.hpp"
 
-#include <algorithm>
 
 #include "micg/obs/obs.hpp"
 #include "micg/support/assert.hpp"
-#include "micg/support/prefetch.hpp"
 #include "micg/support/simd.hpp"
 
 namespace micg::irregular {
@@ -18,35 +16,21 @@ std::vector<double> spmv(const G& g, std::span<const double> x,
   MICG_CHECK(static_cast<VId>(x.size()) == n,
              "vector size must equal vertex count");
   MICG_CHECK(opt.ex.threads >= 1, "need at least one thread");
-  MICG_CHECK(opt.mem.prefetch_distance >= 0,
-             "prefetch distance must be non-negative");
 
   std::vector<double> y(static_cast<std::size_t>(n), 0.0);
   const double* src = x.data();
   double* dst = y.data();
   const EId* xadj = g.xadj().data();
   const VId* adj = g.adj().data();
-  const auto dist = static_cast<EId>(opt.mem.prefetch_distance);
   const bool vec = opt.mem.simd;
   const bool walk = opt.matrix == spmv_matrix::random_walk;
 
   rt::for_range_graph(
       opt.ex, n, xadj, opt.mem.partition,
       [&](std::int64_t b, std::int64_t e, int) {
-        // The prefetch cursor runs `dist` edges ahead of the row being
-        // gathered; every edge of the chunk is prefetched exactly once.
-        EId pf = xadj[b];
-        const EId chunk_end = xadj[e];
         for (std::int64_t i = b; i < e; ++i) {
           const EId rb = xadj[i];
-          const EId re = xadj[i + 1];
-          const EId deg = re - rb;  // one row-extent read, reused below
-          if (dist > 0) {
-            const EId ahead = std::min<EId>(re + dist, chunk_end);
-            for (; pf < ahead; ++pf) {
-              prefetch_read(src + static_cast<std::size_t>(adj[pf]));
-            }
-          }
+          const EId deg = xadj[i + 1] - rb;
           double acc = simd::gather_sum(src, adj + rb,
                                         static_cast<std::size_t>(deg), vec);
           if (walk && deg > 0) acc /= static_cast<double>(deg);
@@ -58,8 +42,6 @@ std::vector<double> spmv(const G& g, std::span<const double> x,
     rec->set_meta("partition", rt::partition_mode_name(opt.mem.partition));
     rec->set_meta("simd", opt.mem.simd && simd::vectorized() ? simd::isa_name()
                                                              : "scalar");
-    rec->set_value("mem.prefetch_distance",
-                   static_cast<double>(opt.mem.prefetch_distance));
   }
   return y;
 }

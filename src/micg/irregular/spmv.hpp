@@ -22,9 +22,9 @@ enum class spmv_matrix {
 struct spmv_options {
   rt::exec ex;
   spmv_matrix matrix = spmv_matrix::adjacency;
-  /// Memory-hierarchy fast-path knobs (SIMD gather, prefetch distance,
-  /// edge-balanced partitioning). All combinations produce bit-identical
-  /// output (tested); rt::scalar_mem_opts() is the pre-optimization path.
+  /// Memory-hierarchy fast-path knobs (SIMD gather, edge-balanced
+  /// partitioning). All combinations produce bit-identical output
+  /// (tested); rt::scalar_mem_opts() is the pre-optimization path.
   rt::mem_opts mem;
 };
 

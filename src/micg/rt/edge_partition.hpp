@@ -30,28 +30,18 @@ inline const char* partition_mode_name(partition_mode m) {
   return m == partition_mode::edge ? "edge" : "vertex";
 }
 
-/// Memory-hierarchy fast-path knobs shared by the irregular kernels and
-/// bottom-up BFS. The defaults are the fast path; scalar_mem_opts() is
-/// the pre-optimization behavior for ablations and parity tests.
+/// Memory-hierarchy fast-path knobs of the irregular kernels. The
+/// defaults are the fast path; scalar_mem_opts() is the pre-optimization
+/// behavior for ablations and parity tests.
 struct mem_opts {
   partition_mode partition = partition_mode::edge;
-  /// Software-prefetch distance in *edges* ahead of the gather cursor;
-  /// 0 (the default) disables prefetching. Off by default because
-  /// out-of-order hosts already hide the gather latency and the extra
-  /// instructions cost 10-25% there (docs/performance.md); the knob is
-  /// for in-order targets like the paper's KNF. Sweep it with
-  /// bench/ablate_memlat before enabling on a new machine.
-  int prefetch_distance = 0;
   /// Use the vector gather path when compiled in (see support/simd.hpp).
   bool simd = true;
 };
 
-/// The pre-optimization configuration: per-vertex chunks, no prefetch,
-/// scalar gathers.
+/// The pre-optimization configuration: per-vertex chunks, scalar gathers.
 inline mem_opts scalar_mem_opts() {
-  return {.partition = partition_mode::vertex,
-          .prefetch_distance = 0,
-          .simd = false};
+  return {.partition = partition_mode::vertex, .simd = false};
 }
 
 /// Run `body(vertex_begin, vertex_end, worker)` over [0, n) with chunk

@@ -2,12 +2,12 @@
 //
 // combinable<> reductions group additions by whatever chunks the backend
 // hands each worker, so the low bits of the result move with the chunk
-// size, the partitioning mode and the scheduler — exactly the knobs the
-// auto-tuner (micg::tune) is free to change. deterministic_sum() fixes
+// size, the partitioning mode and the scheduler — knobs a caller is free
+// to change. deterministic_sum() fixes
 // the grouping instead of the schedule: terms are summed sequentially
 // within fixed-size index blocks and the block partials are combined in
 // block order, so the result is bit-identical across threads, backends,
-// chunk sizes and partitioning — tuning can change *when* a block is
+// chunk sizes and partitioning — scheduling can change *when* a block is
 // summed, never what the total rounds to. One sweep can carry K sums:
 // each accumulator has its own partials over the same blocks, so fusing
 // sweeps moves no bit of any of them.

@@ -102,8 +102,6 @@ service::service(graph_store& store, service_options opt, obs::recorder* rec)
   MICG_CHECK(opt_.landmark_count >= 1 &&
                  opt_.landmark_count <= bfs::landmark_max_count,
              "landmark_count must be in [1, 64]");
-  // Validates the mode name too (throws on junk like --tune sometimes).
-  tune_mode_ = tune::resolve_tune_mode(opt_.tune);
   pools_.resize(static_cast<std::size_t>(opt_.max_inflight));
   free_slots_.reserve(static_cast<std::size_t>(opt_.max_inflight));
   for (int i = opt_.max_inflight - 1; i >= 0; --i) free_slots_.push_back(i);
@@ -116,14 +114,6 @@ service::service(graph_store& store, service_options opt, obs::recorder* rec)
                    std::vector<coalesce_member>& members) {
           run_coalesced_batch(graph, members);
         });
-  }
-  if (tune_mode_ != tune::tune_mode::fixed) {
-    // Tune resident graphs at load time: every query then starts with a
-    // cached plan instead of paying the first-probe latency.
-    for (const auto& name : store_.names()) {
-      const auto vg = store_.find(name);
-      if (vg != nullptr) plan_for(name, vg->snapshot());
-    }
   }
 }
 
@@ -275,18 +265,8 @@ api::json service::execute(const request_envelope& req,
     ctx.max_threads = opt_.threads_per_query;
     ctx.rec = rec_;
     ctx.snapshot_epoch = pin.epoch;
-    std::shared_ptr<const tune::knob_plan> plan;  // keeps ctx.plan alive
-    api::json params = req.params;
-    if (tune_mode_ != tune::tune_mode::fixed) {
-      plan = plan_for(req.graph, pin);
-      ctx.plan = plan.get();
-      // The server's mode is the default; a request's own "tune" field
-      // still wins (it can opt back to fixed, or re-probe inline).
-      if (params.is_null() || params.find("tune") == nullptr) {
-        params.set("tune", api::json(tune::tune_mode_name(tune_mode_)));
-      }
-    }
-    api::json result = api::dispatch_query(*pin.graph, req.op, params, ctx);
+    api::json result =
+        api::dispatch_query(*pin.graph, req.op, req.params, ctx);
     return api::json(api::json_object{{"epoch", api::json(pin.epoch)},
                                       {"result", std::move(result)}});
   }
@@ -305,9 +285,6 @@ api::json service::execute(const request_envelope& req,
         vg->pending_ops() >= static_cast<std::size_t>(opt_.compact_every)) {
       vg->compact();
       refresh_landmarks(req.graph, *vg, pool);
-      if (tune_mode_ != tune::tune_mode::fixed) {
-        plan_for(req.graph, vg->snapshot());
-      }
       compacted = true;
     }
     return api::json(api::json_object{
@@ -323,9 +300,6 @@ api::json service::execute(const request_envelope& req,
   if (req.op == "compact") {
     const std::int64_t epoch = vg->compact();
     refresh_landmarks(req.graph, *vg, pool);
-    if (tune_mode_ != tune::tune_mode::fixed) {
-      plan_for(req.graph, vg->snapshot());
-    }
     const versioned_graph::pin pin = vg->snapshot();
     return api::json(api::json_object{
         {"epoch", api::json(epoch)},
@@ -382,33 +356,6 @@ void service::refresh_landmarks(const std::string& name, versioned_graph& vg,
   // the post-compaction snapshot now (the mutating request pays, like
   // the compaction itself) instead of on the next approx_dist.
   landmark_for(name, vg.snapshot(), pool);
-}
-
-std::shared_ptr<const tune::knob_plan> service::plan_for(
-    const std::string& name, const versioned_graph::pin& pin) {
-  {
-    const std::lock_guard<std::mutex> lock(pmu_);
-    const auto it = plans_.find(name);
-    if (it != plans_.end() && it->second.epoch == pin.epoch) {
-      return it->second.plan;
-    }
-  }
-  // Probe + pick outside the lock (one xadj sweep; racing computations
-  // of the same immutable snapshot produce identical plans, last wins —
-  // the landmark_for discipline).
-  const auto stats = stats_.get(name, pin.epoch, *pin.graph);
-  auto plan = std::make_shared<const tune::knob_plan>(
-      tune::pick_knobs(tune::profile_for_mode(tune_mode_), *stats));
-  {
-    const std::lock_guard<std::mutex> lock(pmu_);
-    plans_[name] = {pin.epoch, plan};
-  }
-  if (rec_ != nullptr) {
-    rec_->get_counter("serve.tune.plans").inc(0);
-    rec_->set_meta("tune.mode", tune::tune_mode_name(tune_mode_));
-    rec_->set_meta("tune." + name + ".knobs", tune::knobs_summary(*plan));
-  }
-  return plan;
 }
 
 void service::run_coalesced_batch(const std::string& graph,
@@ -585,9 +532,13 @@ std::string service::handle(const request_envelope& req) {
                             "op 'bfs' needs a graph name");
     }
     try {
-      return coalescer_->submit(
-          req.graph, api::from_json<api::bfs_request>(req.params), req.id,
-          req.deadline_ms);
+      auto breq = api::from_json<api::bfs_request>(req.params);
+      // The batch runs on the service's own exec settings, but a request
+      // whose exec fields the uncoalesced path refuses (removed shards or
+      // tune modes, bad ranges) is refused here too.
+      (void)api::resolve_exec(breq.ex, {});
+      return coalescer_->submit(req.graph, std::move(breq), req.id,
+                                req.deadline_ms);
     } catch (const std::exception& e) {
       return error_response(req.id, status_of(e), e.what());
     }

@@ -31,14 +31,12 @@
 
 #include "micg/api/api.hpp"
 #include "micg/bfs/landmark.hpp"
-#include "micg/graph/stats.hpp"
 #include "micg/obs/obs.hpp"
 #include "micg/rt/thread_pool.hpp"
 #include "micg/serve/coalesce.hpp"
 #include "micg/serve/protocol.hpp"
 #include "micg/serve/store.hpp"
 #include "micg/support/assert.hpp"
-#include "micg/tune/tune.hpp"
 
 namespace micg::serve {
 
@@ -70,13 +68,6 @@ struct service_options {
   /// [1, 64]. Indexes are built lazily on first use, keyed by snapshot
   /// epoch, and refreshed when a compaction bumps the epoch.
   int landmark_count = 16;
-  /// Server-wide auto-tuning mode ("fixed" / "auto" / "calibrate"; "" =
-  /// $MICG_TUNE, then fixed). Under a non-fixed mode the service probes
-  /// each graph once per snapshot epoch (at construction for resident
-  /// graphs, refreshed when compaction bumps the epoch) and hands the
-  /// cached knob plan to every query; a request's own "tune" field still
-  /// wins for that request. CLI flag --tune on `micg serve`.
-  std::string tune;
 };
 
 class service {
@@ -140,12 +131,6 @@ class service {
   void refresh_landmarks(const std::string& name, versioned_graph& vg,
                          rt::thread_pool* pool);
 
-  /// The knob plan of `name` at the pin's epoch (compute on miss/epoch
-  /// change — one stats sweep + the pure picker). Only called when
-  /// tune_mode_ is not fixed.
-  std::shared_ptr<const tune::knob_plan> plan_for(
-      const std::string& name, const versioned_graph::pin& pin);
-
   graph_store& store_;
   const service_options opt_;
   obs::recorder* rec_;
@@ -159,19 +144,6 @@ class service {
   };
   std::mutex lmu_;
   std::map<std::string, landmark_entry> landmarks_;
-
-  /// Resolved service-wide tune mode (options().tune / $MICG_TUNE).
-  tune::tune_mode tune_mode_ = tune::tune_mode::fixed;
-  /// Per-snapshot graph probes feeding the knob picker, shared with any
-  /// future stats consumers (keyed by graph name, epoch-checked).
-  graph::stats_cache stats_;
-  /// Epoch-keyed knob-plan cache, same discipline as landmarks_.
-  struct plan_entry {
-    std::int64_t epoch = -1;
-    std::shared_ptr<const tune::knob_plan> plan;
-  };
-  std::mutex pmu_;
-  std::map<std::string, plan_entry> plans_;
 
   mutable std::mutex amu_;
   std::condition_variable acv_;

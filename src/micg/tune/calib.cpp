@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <mutex>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -13,7 +11,6 @@
 
 #include "micg/rt/exec.hpp"
 #include "micg/support/assert.hpp"
-#include "micg/support/prefetch.hpp"
 #include "micg/support/rng.hpp"
 #include "micg/support/simd.hpp"
 #include "micg/support/timer.hpp"
@@ -79,23 +76,9 @@ double bench_stream_gbps(std::int64_t elems, int threads, int repeats) {
   return static_cast<double>(elems) * 24.0 / secs / 1e9;
 }
 
-/// Scalar gather with a software-prefetch cursor `dist` indices ahead —
-/// the exact shape of the irregular kernels' prefetch fast path.
-double gather_prefetch(const double* x, const std::int32_t* idx,
-                       std::size_t n, std::size_t dist) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + dist < n) {
-      prefetch_read(&x[static_cast<std::size_t>(idx[i + dist])]);
-    }
-    acc += x[static_cast<std::size_t>(idx[i])];
-  }
-  return acc;
-}
-
-/// One gather_point: throughput of each fast-path flavor over the same
-/// random index stream into a `ws_bytes` table. Single-threaded — the
-/// picker consumes flavor *ratios*, which are per-core properties.
+/// One gather_point: scalar and SIMD throughput over the same random
+/// index stream into a `ws_bytes` table. Single-threaded: the flavor
+/// ratios are per-core properties.
 gather_point bench_gather(std::int64_t ws_bytes, std::int64_t num_idx,
                           int repeats) {
   const auto table = std::max<std::int64_t>(ws_bytes / 8, 64);
@@ -115,12 +98,6 @@ gather_point bench_gather(std::int64_t ws_bytes, std::int64_t num_idx,
   });
   pt.simd_gbps = payload / min_seconds(repeats, [&] {
     g_sink_d = simd::gather_sum(x.data(), idx.data(), n, /*vectorize=*/true);
-  });
-  pt.prefetch8_gbps = payload / min_seconds(repeats, [&] {
-    g_sink_d = gather_prefetch(x.data(), idx.data(), n, 8);
-  });
-  pt.prefetch32_gbps = payload / min_seconds(repeats, [&] {
-    g_sink_d = gather_prefetch(x.data(), idx.data(), n, 32);
   });
   return pt;
 }
@@ -242,49 +219,6 @@ calibration_profile calibrate(const calibrate_options& opt) {
   return p;
 }
 
-calibration_profile default_profile() {
-  // A generic out-of-order host: hardware prefetchers already hide most
-  // of the gather latency, so software prefetch *loses* a little (the
-  // docs/performance.md measurement) while the AVX2 gather path wins
-  // ~25%. The knob picker over this profile reproduces the shipped
-  // static defaults, which keeps `--tune auto` a no-op on machines that
-  // never ran `micg calibrate`.
-  calibration_profile p;
-  p.host = "builtin-ooo-host";
-  p.isa = simd::isa_name();
-  p.threads = 1;
-  p.synthetic = true;
-  p.alu_ns = 0.4;
-  p.stream_gbps = 12.0;
-  p.gather_latency_ns = 80.0;
-  p.chunk_claim_ns = 40.0;
-  p.spawn_ns = 120.0;
-  p.gather = {
-      {.working_set_bytes = std::int64_t{1} << 18,
-       .plain_gbps = 6.0,
-       .simd_gbps = 7.5,
-       .prefetch8_gbps = 5.8,
-       .prefetch32_gbps = 5.6},
-      {.working_set_bytes = std::int64_t{1} << 26,
-       .plain_gbps = 1.2,
-       .simd_gbps = 1.5,
-       .prefetch8_gbps = 1.15,
-       .prefetch32_gbps = 1.1},
-  };
-  return p;
-}
-
-const calibration_profile& host_profile() {
-  static std::once_flag once;
-  static calibration_profile prof;
-  std::call_once(once, [] {
-    const char* path = std::getenv("MICG_CALIB");
-    prof = (path != nullptr && *path != '\0') ? load_profile(path)
-                                              : default_profile();
-  });
-  return prof;
-}
-
 // ---------------------------------------------------------------------------
 // micg.calib.v1
 
@@ -295,9 +229,7 @@ api::json to_json(const calibration_profile& p) {
     pts.emplace_back(api::json_object{
         {"working_set_bytes", api::json(g.working_set_bytes)},
         {"plain_gbps", api::json(g.plain_gbps)},
-        {"simd_gbps", api::json(g.simd_gbps)},
-        {"prefetch8_gbps", api::json(g.prefetch8_gbps)},
-        {"prefetch32_gbps", api::json(g.prefetch32_gbps)}});
+        {"simd_gbps", api::json(g.simd_gbps)}});
   }
   return api::json(api::json_object{
       {"schema", api::json(calib_schema)},
@@ -360,8 +292,6 @@ calibration_profile profile_from_json(const api::json& v) {
     prev_ws = g.working_set_bytes;
     g.plain_gbps = positive_rate(e, "plain_gbps");
     g.simd_gbps = positive_rate(e, "simd_gbps");
-    g.prefetch8_gbps = positive_rate(e, "prefetch8_gbps");
-    g.prefetch32_gbps = positive_rate(e, "prefetch32_gbps");
     p.gather.push_back(g);
   }
   return p;

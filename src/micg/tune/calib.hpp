@@ -1,35 +1,31 @@
-// Host calibration — the per-machine half of the auto-tuner.
+// Host calibration: microbenchmarks of the machine parameters the
+// performance model and a roofline need.
 //
 // The paper's central lesson is that the *same* kernels want different
-// memory-hierarchy configurations on different machines: software
-// prefetching pays on the in-order KNF and costs 10-25% on out-of-order
-// hosts, SMT hides gather latency on one chip and merely adds contention
-// on the other (§V, §VI). The repo's knobs (rt::mem_opts, chunk sizes,
-// frontier representation) were tuned by hand per machine via the
-// bench/ablate_* sweeps; this header replaces that manual step with a
-// one-time measurement.
+// memory-hierarchy configurations on different machines (§V, §VI). The
+// kernels here run one fixed configuration each; this header measures
+// the host they run on, so a measured time can be set against the
+// host's bounds and the what-if model can be fitted to it.
 //
-// `calibrate()` microbenchmarks the handful of machine parameters the
-// knob decisions actually depend on:
+// `calibrate()` microbenchmarks:
 //
 //   * alu_ns            — latency of one dependent ALU op (the model's
 //                         abstract "time unit", measured);
 //   * stream_gbps       — sequential triad bandwidth (roofline ceiling);
 //   * gather points     — effective random-gather bandwidth at several
-//                         working-set sizes, in each fast-path flavor the
-//                         kernels can run (scalar / SIMD / prefetch 8 /
-//                         prefetch 32) — the gather_sum() inner loop of
-//                         the irregular kernels, measured directly;
+//                         working-set sizes, scalar and SIMD — the
+//                         gather_sum() inner loop of the irregular
+//                         kernels, measured directly;
 //   * gather_latency_ns — dependent-chain (pointer-chase) miss latency;
 //   * chunk_claim_ns /
 //     spawn_ns          — per-chunk dynamic-scheduling and per-task
 //                         overheads of the rt backends.
 //
 // The result round-trips through the `micg.calib.v1` JSON schema so one
-// `micg calibrate` run can be committed / shipped / injected into CI (a
-// committed synthetic profile keeps CI free of timing dependence), and
-// projects onto model::machine_config so the what-if simulator can answer
-// questions about the calibrated host, not just the paper's presets.
+// `micg calibrate` run can be committed and stamped into benchmark
+// records, and projects onto model::machine_config so the what-if
+// simulator can answer questions about the calibrated host, not just the
+// paper's presets.
 #pragma once
 
 #include <cstdint>
@@ -44,25 +40,22 @@ namespace micg::tune {
 /// Wire/schema identifier of the persisted profile.
 inline constexpr const char* calib_schema = "micg.calib.v1";
 
-/// Random-gather throughput at one working-set size, per fast-path
-/// flavor. Bandwidths are *payload* GB/s (8 bytes per gathered double,
-/// line fills not counted) — only ratios between flavors matter to the
-/// picker, absolute calibration against hardware counters is not needed.
+/// Random-gather throughput at one working-set size, scalar and SIMD.
+/// Bandwidths are *payload* GB/s (8 bytes per gathered double, line
+/// fills not counted).
 struct gather_point {
   std::int64_t working_set_bytes = 0;
-  double plain_gbps = 0.0;       ///< scalar striped-8, no prefetch
-  double simd_gbps = 0.0;        ///< vector gather path (== plain when
-                                 ///< the build has no SIMD)
-  double prefetch8_gbps = 0.0;   ///< scalar, software prefetch 8 ahead
-  double prefetch32_gbps = 0.0;  ///< scalar, software prefetch 32 ahead
+  double plain_gbps = 0.0;  ///< scalar striped-8
+  double simd_gbps = 0.0;   ///< vector gather path (== plain when the
+                            ///< build has no SIMD)
 };
 
 struct calibration_profile {
   std::string host;  ///< free-form machine label ("" is fine)
   std::string isa;   ///< simd::isa_name() at calibration time
   int threads = 1;   ///< threads the bandwidth benches ran with
-  /// True for hand-written profiles (tests, CI fixtures, the builtin
-  /// default); false only for profiles measured by calibrate().
+  /// True for hand-written profiles (tests); false only for profiles
+  /// measured by calibrate().
   bool synthetic = true;
 
   double alu_ns = 0.0;             ///< one dependent shift-add iteration
@@ -94,23 +87,13 @@ struct calibrate_options {
 /// second (quick). The result has synthetic == false.
 calibration_profile calibrate(const calibrate_options& opt = {});
 
-/// The built-in fallback profile: a synthetic out-of-order host shaped so
-/// the knob picker reproduces the repo's shipped static defaults (SIMD
-/// on, prefetch off — docs/performance.md). Used whenever no measured
-/// profile is available.
-calibration_profile default_profile();
-
-/// The process-wide profile `--tune auto` consults: the file named by
-/// $MICG_CALIB (parsed once, errors propagate as check_error), else
-/// default_profile(). Cached after the first call.
-const calibration_profile& host_profile();
-
 // --- micg.calib.v1 (de)serialization --------------------------------------
 
 api::json to_json(const calibration_profile& p);
 /// Inverse of to_json. Validates the schema tag, that every rate is
 /// finite and positive, and that gather is non-empty and sorted by
-/// working set; throws micg::check_error otherwise.
+/// working set; throws micg::check_error otherwise. Unknown keys are
+/// ignored, so profiles that carry fields since dropped still read.
 calibration_profile profile_from_json(const api::json& v);
 
 /// Read + parse a profile file; throws check_error on I/O or schema

@@ -293,24 +293,42 @@ TEST(ApiRequest, ThreadsAndShardsAreRangeCheckedBeforeNarrowing) {
             2147483647);  // in range for int; resolve_exec rejects it later
 }
 
-// Sharded execution was removed, but `shards` is still read so that a
-// client asking for it is refused rather than silently run unsharded.
+// Sharded execution and the auto-tuner were removed, but `shards` and
+// `tune` are still read so that a client asking for either is refused
+// rather than silently run unsharded or untuned.
 TEST(ApiRequest, ShardsOtherThanOneAreRefused) {
   const auto g = grid();
+  const auto refused = [&](const char* op, const char* params,
+                           const char* why) {
+    try {
+      (void)micg::api::dispatch_query(g, op, json::parse(params));
+      ADD_FAILURE() << params << " was accepted";
+    } catch (const micg::check_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
   for (const char* op : {"bfs", "pagerank", "info"}) {
     SCOPED_TRACE(op);
     for (const char* params : {R"({"shards":2})", R"({"shards":0})"}) {
-      try {
-        (void)micg::api::dispatch_query(g, op, json::parse(params));
-        ADD_FAILURE() << params << " was accepted";
-      } catch (const micg::check_error& e) {
-        EXPECT_NE(std::string(e.what()).find("shards must be 1"),
-                  std::string::npos)
-            << e.what();
-      }
+      refused(op, params, "shards must be 1");
     }
     EXPECT_NO_THROW((void)micg::api::dispatch_query(
         g, op, json::parse(R"({"shards":1,"threads":1})")));
+  }
+  for (const char* op : {"bfs", "pagerank", "sssp"}) {
+    SCOPED_TRACE(op);
+    for (const char* params :
+         {R"({"tune":"auto"})", R"({"tune":"calibrate"})",
+          R"({"tune":"sometimes"})"}) {
+      refused(op, params, "tune must be fixed: the auto-tuner was removed");
+    }
+    for (const char* params :
+         {R"({"threads":1})", R"({"threads":1,"tune":"fixed"})"}) {
+      EXPECT_NO_THROW(
+          (void)micg::api::dispatch_query(g, op, json::parse(params)))
+          << params;
+    }
   }
 }
 

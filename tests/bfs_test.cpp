@@ -404,8 +404,8 @@ TEST(DirectionBfs, SwitchesToBottomUpOnRmat) {
 }
 
 // The word-scan bottom-up steps and the queue top-down steps together
-// must produce seq_bfs levels, under either bottom-up partitioning.
-TEST(DirectionBfs, BitmapMatchesSequentialUnderEitherPartition) {
+// must produce seq_bfs levels.
+TEST(DirectionBfs, BitmapMatchesSequential) {
   struct Case {
     csr_graph g;
     vertex_t source;
@@ -420,21 +420,14 @@ TEST(DirectionBfs, BitmapMatchesSequentialUnderEitherPartition) {
     vertex_t src = c.source;
     while (c.g.degree(src) == 0) ++src;
     const auto seq = micg::bfs::seq_bfs(c.g, src);
-    for (auto part : {micg::rt::partition_mode::vertex,
-                      micg::rt::partition_mode::edge}) {
-      micg::bfs::direction_options opt;
-      opt.ex.threads = 4;
-      opt.alpha = c.alpha;
-      opt.partition = part;
-      const auto r = micg::bfs::direction_optimizing_bfs(c.g, src, opt);
-      const char* label = micg::rt::partition_mode_name(part);
-      EXPECT_EQ(r.level, seq.level) << label;
-      EXPECT_EQ(r.reached, seq.reached) << label;
-      EXPECT_EQ(r.top_down_steps + r.bottom_up_steps, seq.num_levels)
-          << label;
-      EXPECT_TRUE(micg::bfs::is_valid_bfs_levels(c.g, src, r.level))
-          << label;
-    }
+    micg::bfs::direction_options opt;
+    opt.ex.threads = 4;
+    opt.alpha = c.alpha;
+    const auto r = micg::bfs::direction_optimizing_bfs(c.g, src, opt);
+    EXPECT_EQ(r.level, seq.level);
+    EXPECT_EQ(r.reached, seq.reached);
+    EXPECT_EQ(r.top_down_steps + r.bottom_up_steps, seq.num_levels);
+    EXPECT_TRUE(micg::bfs::is_valid_bfs_levels(c.g, src, r.level));
   }
 }
 

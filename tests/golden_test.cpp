@@ -41,13 +41,10 @@ bool update_mode() {
 
 /// Run a shell command (from inside the golden directory, so fixture paths
 /// in the output are relative) and capture its exit status and combined
-/// stdout/stderr. MICG_TUNE is pinned to fixed so the goldens stay
-/// meaningful when the ambient environment opts into auto-tuning (which
-/// may legitimately change the reported BFS variant name, though never
-/// any result).
+/// stdout/stderr.
 std::pair<int, std::string> run_cli_status(const std::string& args) {
-  const std::string cmd = "cd '" + golden_dir() + "' && MICG_TUNE=fixed '" +
-                          cli_path() + "' " + args + " 2>&1";
+  const std::string cmd =
+      "cd '" + golden_dir() + "' && '" + cli_path() + "' " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   std::string out;
@@ -164,11 +161,30 @@ TEST(Golden, CcStdout) {
                normalize_stdout(run_cli("cc tiny.mtx --threads 1")));
 }
 
-// Sharded execution was removed; asking for it must fail, not run plain.
+// Sharded execution and the auto-tuner were removed; asking for either
+// must fail, not run plain.
 TEST(Cli, ShardsOtherThanOneExitNonZero) {
-  const auto [rc, out] = run_cli_status("bfs tiny.mtx --shards 2");
-  EXPECT_NE(rc, 0) << out;
-  EXPECT_NE(out.find("shards must be 1"), std::string::npos) << out;
+  const auto refused = [](const std::string& args, const char* why) {
+    const auto [rc, out] = run_cli_status(args);
+    EXPECT_NE(rc, 0) << args << ": " << out;
+    EXPECT_NE(out.find(why), std::string::npos) << args << ": " << out;
+  };
+  refused("bfs tiny.mtx --shards 2", "shards must be 1");
+  for (const char* op : {"bfs", "pagerank", "sssp"}) {
+    for (const char* mode : {"auto", "calibrate", "sometimes"}) {
+      refused(std::string(op) + " tiny.mtx --threads 1 --tune " + mode,
+              "tune must be fixed");
+    }
+    for (const char* ok : {"", " --tune fixed"}) {
+      const std::string args = std::string(op) + " tiny.mtx --threads 1" + ok;
+      const auto [rc, out] = run_cli_status(args);
+      EXPECT_EQ(rc, 0) << args << ": " << out;
+    }
+  }
+  // No --graph: if the flag were ignored, serve would stop on the missing
+  // graph with a different message instead of listening.
+  refused("serve --listen unix:/nonexistent/micg.sock --tune auto",
+          "tune must be fixed");
 }
 
 /// Rounds every JSON real with a fraction to 6 significant digits: the
@@ -192,7 +208,6 @@ std::string round_reals(const std::string& text) {
 // thread, once with default params and once with every request field set
 // to a non-default value, plus both forms of the approx_dist response.
 TEST(Golden, ApiWire) {
-  setenv("MICG_TUNE", "fixed", 1);  // "tune":"" defers to the environment
   using micg::api::json;
   const auto g = micg::api::load_graph(golden_dir() + "/tiny.mtx");
   const std::string ex =

@@ -316,18 +316,16 @@ TEST(Spmv, RandomWalkMatrixRowsAverage) {
 // ------------------------------------------------- fast-path knob parity
 //
 // The whole point of the striped gather_sum design is that flipping any
-// memory-hierarchy knob (SIMD, prefetch distance, partitioning) changes
-// performance only: results must be *bit-identical*, on every CSR layout.
+// memory-hierarchy knob (SIMD, partitioning) changes performance only:
+// results must be *bit-identical*, on every CSR layout.
 
 const std::vector<micg::rt::mem_opts>& knob_grid() {
   static std::vector<micg::rt::mem_opts> grid = [] {
     std::vector<micg::rt::mem_opts> g;
     for (bool simd : {false, true}) {
-      for (int dist : {0, 16}) {
-        for (auto part : {micg::rt::partition_mode::vertex,
-                          micg::rt::partition_mode::edge}) {
-          g.push_back({part, dist, simd});
-        }
+      for (auto part : {micg::rt::partition_mode::vertex,
+                        micg::rt::partition_mode::edge}) {
+        g.push_back({.partition = part, .simd = simd});
       }
     }
     return g;
@@ -337,7 +335,6 @@ const std::vector<micg::rt::mem_opts>& knob_grid() {
 
 std::string knob_label(const micg::rt::mem_opts& m) {
   return std::string(micg::rt::partition_mode_name(m.partition)) +
-         "/pf" + std::to_string(m.prefetch_distance) +
          (m.simd ? "/simd" : "/scalar");
 }
 

@@ -19,10 +19,6 @@ set -euo pipefail
 MICG=$1
 GOLDEN_DIR=$2
 
-# The transcript golden assumes the untuned request path; a CI job that
-# exports MICG_TUNE=auto must not change this script's expectations.
-export MICG_TUNE=fixed
-
 work=$(mktemp -d)
 server_pid=""
 cleanup() {

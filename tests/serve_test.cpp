@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "micg/api/json.hpp"
@@ -725,28 +726,59 @@ TEST(Session, TruncatedFinalFrameIsABadRequest) {
 TEST(Session, ShardsOtherThanOneAreBadRequests) {
   graph_store store;
   store.add("g", grid());
-  service svc(store, {.max_inflight = 1, .max_waiting = 1,
-                      .threads_per_query = 1});
-  std::istringstream in(
-      R"({"id":"b","op":"bfs","graph":"g","params":{"shards":2}})" "\n"
-      R"({"id":"p","op":"pagerank","graph":"g","params":{"shards":2}})" "\n"
-      R"({"id":"i","op":"info","graph":"g","params":{"shards":2}})" "\n"
-      R"({"id":"ok","op":"bfs","graph":"g","params":{"shards":1}})" "\n");
-  std::ostringstream out;
-  svc.serve_session(in, out);
-  std::istringstream lines(out.str());
-  std::string line;
-  for (const char* id : {"b", "p", "i"}) {
-    ASSERT_TRUE(std::getline(lines, line));
-    const json r = parse(line);
-    EXPECT_EQ(r.at("id").as_string(), id);
-    EXPECT_EQ(r.at("status").as_string(), "bad_request");
-    EXPECT_EQ(r.at("error").as_string(),
-              "shards must be 1: sharded execution was removed");
+  // Uncoalesced, and with bfs requests joining a coalescing window: a
+  // removed exec field is refused on both bfs paths.
+  for (const std::int64_t window : {0, 1}) {
+    SCOPED_TRACE(window);
+    service svc(store, {.max_inflight = 1, .max_waiting = 1,
+                        .threads_per_query = 1,
+                        .coalesce_window_ms = window});
+    const std::string shards_removed =
+        "shards must be 1: sharded execution was removed";
+    const std::string tune_removed =
+        "tune must be fixed: the auto-tuner was removed";
+    std::vector<std::pair<std::string, std::string>> refused = {
+        {R"({"id":"b","op":"bfs","graph":"g","params":{"shards":2}})",
+         shards_removed},
+        {R"({"id":"p","op":"pagerank","graph":"g","params":{"shards":2}})",
+         shards_removed},
+        {R"({"id":"i","op":"info","graph":"g","params":{"shards":2}})",
+         shards_removed}};
+    for (const char* op : {"bfs", "pagerank", "sssp"}) {
+      for (const char* mode : {"auto", "calibrate", "sometimes"}) {
+        refused.emplace_back(std::string(R"({"id":"t","op":")") + op +
+                                 R"(","graph":"g","params":{"tune":")" +
+                                 mode + R"("}})",
+                             tune_removed);
+      }
+    }
+    std::string script;
+    for (const auto& [line, why] : refused) script += line + "\n";
+    for (const char* op : {"bfs", "pagerank", "sssp"}) {
+      for (const char* params : {R"({"shards":1})", R"({"tune":"fixed"})"}) {
+        script += std::string(R"({"id":"ok","op":")") + op +
+                  R"(","graph":"g","params":)" + params + "}\n";
+      }
+    }
+    std::istringstream in(script);
+    std::ostringstream out;
+    svc.serve_session(in, out);
+    std::istringstream lines(out.str());
+    std::string line;
+    for (const auto& [request, why] : refused) {
+      ASSERT_TRUE(std::getline(lines, line));
+      const json r = parse(line);
+      EXPECT_EQ(r.at("id").as_string(),
+                parse(request).at("id").as_string());
+      EXPECT_EQ(r.at("status").as_string(), "bad_request") << request;
+      EXPECT_EQ(r.at("error").as_string(), why) << request;
+    }
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(std::getline(lines, line));
+      EXPECT_EQ(parse(line).at("id").as_string(), "ok");
+      EXPECT_EQ(status_of(line), "ok") << line;
+    }
   }
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(parse(line).at("id").as_string(), "ok");
-  EXPECT_EQ(status_of(line), "ok");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Unit tests for the support module: assertions, rng, stats, padding,
-// table formatting, and the SIMD/prefetch fast-path layer.
+// table formatting, and the SIMD fast-path layer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 
 #include "micg/support/assert.hpp"
 #include "micg/support/cacheline.hpp"
-#include "micg/support/prefetch.hpp"
 #include "micg/support/rng.hpp"
 #include "micg/support/simd.hpp"
 #include "micg/support/stats.hpp"
@@ -217,15 +216,6 @@ TEST(Simd, IsaNameMatchesCompiledPath) {
   } else {
     EXPECT_STREQ(micg::simd::isa_name(), "scalar");
   }
-}
-
-TEST(Prefetch, IsSemanticsFree) {
-  // A prefetch may touch any mapped address without observable effect.
-  std::vector<double> x(16, 1.0);
-  micg::prefetch_read(x.data());
-  micg::prefetch_read(x.data() + 15);
-  micg::prefetch_read(nullptr);  // hint only; must not fault
-  EXPECT_EQ(x[0], 1.0);
 }
 
 }  // namespace

@@ -52,7 +52,6 @@
 #include "micg/support/table.hpp"
 #include "micg/support/timer.hpp"
 #include "micg/tune/calib.hpp"
-#include "micg/tune/tune.hpp"
 
 namespace {
 
@@ -84,15 +83,12 @@ using micg::graph::csr_graph;
       "          [--max-weight W] [--threads N]\n"
       "  micg cc FILE [--threads N] [--backend NAME] [--chunk C]\n"
       "  micg calibrate [-o FILE] [--threads N] [--runs R] [--quick yes]\n"
-      "bfs/msbfs/bc/color/pagerank/sssp: --tune fixed|auto|calibrate picks\n"
-      "  memory/chunk knobs from a host profile ($MICG_CALIB, or\n"
-      "  `micg calibrate -o`) + a graph probe; answers are bit-identical\n"
-      "  across modes (docs/performance.md). Default: $MICG_TUNE, then fixed\n"
+      "          (measures this host's bandwidth, latency and scheduling\n"
+      "          costs; -o writes a micg.calib.v1 profile)\n"
       "  micg serve --listen ADDR --graph NAME=PATH [--graph NAME=PATH ...]\n"
       "          [--max-inflight N] [--max-waiting N] [--threads-per-query N]\n"
       "          [--deadline-ms D] [--compact-every N] [--max-frame-bytes B]\n"
       "          [--coalesce-window-ms W] [--coalesce-lanes L] [--landmarks K]\n"
-      "          [--tune MODE]\n"
       "  micg query --connect ADDR OP [--graph NAME] [--params JSON]\n"
       "          [--deadline-ms D] [--id TAG]\n"
       "  micg query --connect ADDR --script FILE|-\n"
@@ -403,20 +399,16 @@ int cmd_calibrate(const arg_parser& args) {
   t.row({"task spawn ns", micg::table_printer::fmt(prof.spawn_ns)});
   for (const auto& pt : prof.gather) {
     t.row({"gather@" + std::to_string(pt.working_set_bytes >> 10) +
-               "KiB GB/s (plain/simd/pf8/pf32)",
+               "KiB GB/s (plain/simd)",
            micg::table_printer::fmt(pt.plain_gbps) + " / " +
-               micg::table_printer::fmt(pt.simd_gbps) + " / " +
-               micg::table_printer::fmt(pt.prefetch8_gbps) + " / " +
-               micg::table_printer::fmt(pt.prefetch32_gbps)});
+               micg::table_printer::fmt(pt.simd_gbps)});
   }
   t.print(std::cout);
 
   const auto out = args.flag("out", "");
   if (!out.empty()) {
     micg::tune::save_profile(out, prof);
-    std::cout << "wrote calibration profile to " << out
-              << " (export MICG_CALIB=" << out
-              << " to use it with --tune auto)\n";
+    std::cout << "wrote calibration profile to " << out << "\n";
   }
   return 0;
 }
@@ -456,7 +448,10 @@ int cmd_serve(const arg_parser& args) {
       args.flag_int("coalesce-lanes", opt.svc.coalesce_lanes));
   opt.svc.landmark_count =
       static_cast<int>(args.flag_int("landmarks", opt.svc.landmark_count));
-  opt.svc.tune = args.flag("tune", opt.svc.tune);
+  // The auto-tuner was removed. arg_parser ignores unknown flags, so
+  // refuse its modes here instead of serving them untuned.
+  MICG_CHECK(args.flag("tune", "fixed") == "fixed",
+             "tune must be fixed: the auto-tuner was removed");
 
   micg::serve::graph_store store;
   for (const auto& spec : args.flag_all("graph")) {

@@ -12,11 +12,8 @@
 # coalescing window off vs on, clustered vs adversarial request mixes)
 # lands in a third document.
 #
-# Also reproduces BENCH_tune.json: the predicted-vs-measured auto-tuning
-# sweep (bench/ablate_tune, the knob picker's choice against the true
-# knob grid per (graph, kernel) pair), driven by a fresh `micg calibrate`
-# profile of this host. That same host profile is stamped into every
-# BENCH_*.json document (top-level "host_profile", a micg.calib.v1
+# A fresh `micg calibrate` profile of this host is stamped into every
+# BENCH_*.json document (top-level "host_calibration", a micg.calib.v1
 # object) so committed numbers carry the machine they were measured on.
 #
 # Also reproduces BENCH_sssp.json: the weighted-workload series
@@ -26,8 +23,7 @@
 # configuration diverged from the oracle.
 #
 # Usage: tools/run_bench.sh [output.json] [serve_output.json] \
-#                           [coalesce_output.json] [tune_output.json] \
-#                           [sssp_output.json]
+#                           [coalesce_output.json] [sssp_output.json]
 #   BUILD_DIR              build tree holding bench/ (default: build)
 #   MICG_SCALE             model-series graph scale       (default: 0.05)
 #   MICG_MEASURED_SCALE    measured-series graph scale    (default: 0.05)
@@ -52,8 +48,7 @@ BUILD_DIR=${BUILD_DIR:-build}
 OUT=${1:-BENCH_baseline.json}
 SERVE_OUT=${2:-BENCH_serve.json}
 COALESCE_OUT=${3:-BENCH_coalesce.json}
-TUNE_OUT=${4:-BENCH_tune.json}
-SSSP_OUT=${5:-BENCH_sssp.json}
+SSSP_OUT=${4:-BENCH_sssp.json}
 
 if [ ! -x "$BUILD_DIR/bench/ablate_memlat" ]; then
   echo "error: $BUILD_DIR/bench/ablate_memlat not found — build with" >&2
@@ -67,7 +62,6 @@ export MICG_MEASURED_THREADS=${MICG_MEASURED_THREADS:-$(nproc)}
 export MICG_RUNS=${MICG_RUNS:-4}
 MICG_MEMLAT_SCALE=${MICG_MEMLAT_SCALE:-8.0}
 MICG_MEMLAT_THREADS=${MICG_MEMLAT_THREADS:-1,2,4,8}
-MICG_TUNE_SCALE=${MICG_TUNE_SCALE:-8.0}
 MICG_SSSP_SCALE=${MICG_SSSP_SCALE:-0.5}
 
 tmp=$(mktemp -d)
@@ -77,9 +71,8 @@ echo "== run_bench: scale=$MICG_SCALE measured_scale=$MICG_MEASURED_SCALE" \
      "memlat_scale=$MICG_MEMLAT_SCALE threads=$MICG_MEASURED_THREADS" \
      "runs=$MICG_RUNS =="
 
-# Calibrate this host first: the tuning ablation picks knobs from this
-# profile, and every BENCH document gets it stamped in so committed
-# numbers say what machine produced them.
+# Calibrate this host first: every BENCH document gets the profile
+# stamped in so committed numbers say what machine produced them.
 CALIB="$tmp/host.calib.json"
 "$BUILD_DIR/tools/micg" calibrate --runs "$MICG_RUNS" -o "$CALIB"
 
@@ -189,42 +182,6 @@ print(f"wrote {path}: {len(records)} qps records; batched beat unbatched "
       f"at {wins}/{len(rates)} clustered rates")
 EOF
 
-# Tuning ablation at its own larger scale (cache-resident runs show
-# nothing, same reasoning as memlat), picking knobs from the profile
-# calibrated above.
-MICG_MEASURED_SCALE="$MICG_TUNE_SCALE" MICG_CALIB="$CALIB" \
-  "$BUILD_DIR/bench/ablate_tune" --metrics-json "$TUNE_OUT"
-
-python3 - "$TUNE_OUT" <<'EOF'
-import json
-import sys
-
-path = sys.argv[1]
-with open(path) as f:
-    doc = json.load(f)
-assert doc["schema"] == "micg.metrics.v1", doc.get("schema")
-records = doc["records"]
-summaries = [r for r in records if r["meta"].get("config") == "summary"]
-assert len(summaries) >= 4, f"expected >=4 (graph, kernel) summaries"
-
-# The headline claim: the picker matches or beats the static defaults on
-# a majority of pairs and is never materially (>5%) worse on any.
-wins = 0
-for r in summaries:
-    v = r["values"]
-    pair = (r["meta"]["graph"], r["meta"]["kernel"])
-    assert v["tuned_ms"] <= v["default_ms"] * 1.05, (
-        f"tuned >5% slower than default on {pair}: "
-        f"{v['tuned_ms']:.2f} vs {v['default_ms']:.2f} ms")
-    if v["tuned_speedup_vs_default"] >= 0.995:
-        wins += 1
-assert wins * 2 > len(summaries), (
-    f"tuned matched/beat default on only {wins}/{len(summaries)} pairs")
-best = max(r["values"]["tuned_speedup_vs_default"] for r in summaries)
-print(f"wrote {path}: {len(records)} tune records; tuned matched/beat "
-      f"default on {wins}/{len(summaries)} pairs (best {best:.2f}x)")
-EOF
-
 # Weighted workloads at their own larger scale (smoke-sized graphs finish
 # before the bucket structure the delta dial measures can form). The bench exits
 # non-zero by itself if any timed run diverges from the Dijkstra oracle;
@@ -263,8 +220,7 @@ print(f"wrote {path}: {len(records)} sssp records over {len(graphs)} "
 EOF
 
 # Stamp the calibrated host profile into every document emitted above.
-python3 - "$CALIB" "$OUT" "$SERVE_OUT" "$COALESCE_OUT" \
-    "$TUNE_OUT" "$SSSP_OUT" <<'EOF'
+python3 - "$CALIB" "$OUT" "$SERVE_OUT" "$COALESCE_OUT" "$SSSP_OUT" <<'EOF'
 import json
 import sys
 
@@ -275,7 +231,7 @@ assert profile["schema"] == "micg.calib.v1", profile.get("schema")
 for path in outputs:
     with open(path) as f:
         doc = json.load(f)
-    doc["host_profile"] = profile
+    doc["host_calibration"] = profile
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
